@@ -22,9 +22,12 @@ splits on " - " and takes a max, so scores are unaffected.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .compare import keep_bests
 from .config import (ADDR_KEY, C_SIM_CITY, C_SIM_HOUSENBR, C_SIM_POSTCODE,
@@ -551,81 +554,198 @@ def _run_cascade(inputs: pd.DataFrame, gazetteer, parser,
     return _finalize(allrows, [])
 
 
-def _cascade_with_memo(inputs: pd.DataFrame, gazetteer, parser,
-                       cfg: PipelineConfig) -> pd.DataFrame:
-    """Per-worker FULL-CASCADE memo keyed on the 5 input fields: the
-    cascade is a deterministic function of (street, housenumber,
-    postcode, city, country) — addr_key only labels rows — and real
-    corpora repeat addresses heavily (the bench corpus is 83% repeats),
-    so the cascade runs once per UNIQUE address per worker and every
-    other occurrence assembles its result rows from typed cached arrays.
+# Most distinct address tuples one worker keeps per config; keys past
+# the cap are still computed and served batch-locally, just not kept.
+_MEMO_MAX_KEYS = 1 << 15
 
-    The memo is capped per worker per config; overflow keys are still
-    computed (and served batch-locally), just not retained."""
-    memo_all = getattr(gazetteer, "_cascade_memo", None)
-    if memo_all is None:
-        memo_all = gazetteer._cascade_memo = {}
+_STORE_SCHEMA = pa.schema([f for f in RESULT_SCHEMA if f.name != ADDR_KEY])
+
+
+class _ResultStore:
+    """Per-worker FULL-CASCADE memo for one config, columnar and
+    append-only.
+
+    The cascade is a deterministic function of the five input fields
+    (street, housenumber, postcode, city, country) — addr_key only labels
+    rows — and real corpora repeat addresses heavily (the bench corpus is
+    83% repeats), so the cascade runs once per UNIQUE tuple per worker.
+    Its finalized rows (``RESULT_SCHEMA`` minus addr_key) live in ONE
+    Arrow table; the key ``k`` with ``s = slot[k]`` owns the rows
+    ``start[s] : start[s] + length[s]``.  A batch probes the key index in
+    one pass, then every hit is served by a single ``take`` on the table:
+    no per-row frames or per-key arrays (the probe-then-gather layout of
+    vectorized hash tables, VLDB 2023)."""
+
+    def __init__(self):
+        self.slot: dict[str, int] = {}
+        self.start = np.zeros(0, np.int64)
+        self.length = np.zeros(0, np.int64)
+        self.table = _STORE_SCHEMA.empty_table()
+
+    def append(self, keys: list[str], rows: pa.Table,
+               counts: np.ndarray) -> int:
+        """Keep the leading representatives that fit under the cap (their
+        rows are the head of ``rows``, ``counts`` rows each); returns how
+        many were kept.  The table is re-combined so every probe takes
+        from one contiguous chunk and never pins the caller's batch."""
+        k = max(0, min(len(keys), _MEMO_MAX_KEYS - len(self.slot)))
+        if k == 0:
+            return 0
+        base = len(self.slot)
+        self.slot.update(zip(keys[:k], range(base, base + k)))
+        ends = self.table.num_rows + np.cumsum(counts[:k])
+        self.start = np.r_[self.start, ends - counts[:k]]
+        self.length = np.r_[self.length, counts[:k]]
+        self.table = pa.concat_tables(
+            [self.table, rows.slice(0, int(counts[:k].sum()))]
+        ).combine_chunks()
+        return k
+
+
+def _result_store(gazetteer, cfg: PipelineConfig) -> _ResultStore:
+    stores = getattr(gazetteer, "_cascade_memo", None)
+    if stores is None:
+        stores = gazetteer._cascade_memo = {}
     ckey = repr(cfg)
-    sub = memo_all.get(ckey)
-    if sub is None:
-        sub = memo_all[ckey] = {}
-
-    keys = list(zip(*(inputs[c].tolist() for c in INPUT_FIELDS)))
-    aks = inputs[ADDR_KEY].tolist()
-    reps, seen = [], set()
-    for i, k in enumerate(keys):
-        if k not in sub and k not in seen:
-            seen.add(k)
-            reps.append(i)
-    local: dict = {}
-    if reps:
-        # SYNTHETIC representative keys: a caller batch may reuse one
-        # addr_key for different address tuples (the REST layer rejects
-        # that, this function must not crash on it) — unique synthetic
-        # keys guarantee one output group per representative tuple.
-        # Real keys never enter this frame, so only uniqueness among
-        # reps matters; keys must be plain printable strings (pandas'
-        # string hashtable truncates at an embedded NUL, collapsing
-        # groups).
-        rep_inputs = inputs.iloc[reps].copy()
-        rep_aks = [f"r{j}" for j in range(len(reps))]
-        rep_inputs[ADDR_KEY] = rep_aks
-        out_rep = _run_cascade(rep_inputs, gazetteer, parser, cfg)
-        rec_cols = [c for c in out_rep.columns if c != ADDR_KEY]
-        ak_to_key = dict(zip(rep_aks, (keys[i] for i in reps)))
-        # contiguous-slice storage (a pandas groupby per representative
-        # address would re-introduce per-group overhead): stable-sort by
-        # addr_key, slice + COPY per key (a view would pin the whole
-        # representative batch's arrays in the memo for its lifetime)
-        akcol = out_rep[ADDR_KEY].to_numpy()
-        order = np.argsort(akcol, kind="mergesort")
-        aks_sorted = akcol[order]
-        arrs = {c: out_rep[c].to_numpy()[order] for c in rec_cols}
-        starts = np.flatnonzero(np.r_[True,
-                                      aks_sorted[1:] != aks_sorted[:-1]])
-        ends = np.r_[starts[1:], len(aks_sorted)]
-        for s, e in zip(starts, ends):
-            s, e = int(s), int(e)
-            rec = {c: arrs[c][s:e].copy() for c in rec_cols}
-            k = ak_to_key[aks_sorted[s]]
-            local[k] = rec
-            if len(sub) < (1 << 15):
-                sub[k] = rec
-    per_row = [sub.get(k) or local[k] for k in keys]
-    counts = np.array([len(r[STATUS]) for r in per_row])
-    data = {ADDR_KEY: np.repeat(np.array(aks, dtype=object), counts)}
-    if per_row:
-        for c in per_row[0]:
-            data[c] = np.concatenate([r[c] for r in per_row])
-    return pd.DataFrame(data)
+    store = stores.get(ckey)
+    if store is None:
+        store = stores[ckey] = _ResultStore()
+    return store
 
 
-def process_addresses_df(df: pd.DataFrame, gazetteer, parser,
-                         cfg: PipelineConfig,
-                         stats_out: list | None = None) -> pd.DataFrame:
-    """Full cascade over one batch of addresses → fixed-schema frame with
-    one row per match/reject plus 'unmatched' stubs
-    (utils.py:1195-1279).
+def _memo_keys(inputs: pa.Table) -> list[str]:
+    """Injective string key per row, in one vectorized pass: each of the
+    five fields is prefixed by its byte length ("len:field:len:field…"),
+    so no field content — the separator or NUL included — can move a
+    field boundary."""
+    parts = []
+    for c in INPUT_FIELDS:
+        parts += [pc.binary_length(inputs[c]).cast(pa.string()), inputs[c]]
+    return pc.binary_join_element_wise(*parts, ":").to_pylist()
+
+
+def _run_representatives(reps: pa.Table, gazetteer, parser,
+                         cfg: PipelineConfig, stats_out: list | None
+                         ) -> tuple[pa.Table, np.ndarray]:
+    """``_run_cascade`` once over the representative rows under SYNTHETIC
+    keys ``r0, r1, …`` → (their result rows grouped by representative in
+    order, row count per representative).  Synthetic keys keep one
+    output group per representative even when a caller reuses one
+    addr_key for different tuples; they must be plain printable strings
+    (pandas' string hashtable truncates at an embedded NUL)."""
+    df = reps.to_pandas(use_threads=False)
+    df[ADDR_KEY] = [f"r{j}" for j in range(len(df))]
+    out = _run_cascade(df, gazetteer, parser, cfg, stats_out)
+    tbl = pa.Table.from_pandas(out[list(RESULT_COLUMNS)],
+                               schema=RESULT_SCHEMA, preserve_index=False)
+    rep = pc.utf8_slice_codeunits(tbl[ADDR_KEY], 1).cast(
+        pa.int64()).to_numpy()
+    order = np.argsort(rep, kind="stable")
+    return (tbl.drop_columns([ADDR_KEY]).take(order),
+            np.bincount(rep, minlength=len(df)))
+
+
+def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Indices of the row runs ``[start, start + len)``, concatenated."""
+    ends = np.cumsum(lens)
+    return (np.arange(ends[-1] if len(ends) else 0)
+            + np.repeat(starts - ends + lens, lens))
+
+
+def _memo_results(inputs: pa.Table, store: _ResultStore, gazetteer, parser,
+                  cfg: PipelineConfig) -> tuple[pa.Table, np.ndarray]:
+    """Result rows of every input row through the memo → (rows grouped
+    by input row in input order, row count per input row).  Hits are
+    served from the store; the misses run the cascade once per unique
+    tuple and are appended (or served batch-locally past the cap)."""
+    n = inputs.num_rows
+    keys = _memo_keys(inputs)
+    slot = np.fromiter(map(store.slot.get, keys, repeat(-1, n)), np.int64, n)
+    rep_of = np.full(n, -1, np.int64)
+    first: dict[str, int] = {}
+    rep_rows = []
+    for i in np.flatnonzero(slot < 0).tolist():
+        j = first.setdefault(keys[i], len(rep_rows))
+        if j == len(rep_rows):
+            rep_rows.append(i)
+        rep_of[i] = j
+    if rep_rows:
+        local, counts = _run_representatives(
+            inputs.select(INPUT_FIELDS).take(rep_rows), gazetteer, parser,
+            cfg, None)
+        local_start = np.cumsum(counts) - counts
+        kept = store.append([keys[i] for i in rep_rows], local, counts)
+        now_stored = (rep_of >= 0) & (rep_of < kept)
+        slot[now_stored] = len(store.slot) - kept + rep_of[now_stored]
+
+    hit = slot >= 0
+    begin = np.empty(n, np.int64)
+    lens = np.empty(n, np.int64)
+    parts = []
+    if hit.any():
+        s = slot[hit]
+        begin[hit], lens[hit] = store.start[s], store.length[s]
+        parts.append(store.table.take(_runs(begin[hit], lens[hit])))
+    if not hit.all():
+        r = rep_of[~hit]
+        begin[~hit], lens[~hit] = local_start[r], counts[r]
+        parts.append(local.take(_runs(begin[~hit], lens[~hit])))
+    if len(parts) < 2:
+        return (parts[0] if parts else _STORE_SCHEMA.empty_table()), lens
+    # hits first, then batch-local rows: interleave back into row order
+    flag = np.repeat(hit, lens)
+    n_hit = parts[0].num_rows
+    pos = np.where(flag, np.cumsum(flag) - 1, n_hit + np.cumsum(~flag) - 1)
+    return pa.concat_tables(parts).take(pos), lens
+
+
+def _geocode_table(inputs: pa.Table, gazetteer, parser, cfg: PipelineConfig,
+                   stats_out: list | None = None
+                   ) -> tuple[pa.Table, np.ndarray]:
+    """Cascade over normalized Arrow inputs (addr_key + the five input
+    fields, non-null strings) → (``RESULT_SCHEMA`` table, input row of
+    each output row).  Output rows are grouped by input row, in input
+    order.  With the memo off, or for a ``stats_out`` pass, every row is
+    its own representative and nothing is kept."""
+    if cfg.with_cascade_memo and stats_out is None:
+        res, lens = _memo_results(inputs, _result_store(gazetteer, cfg),
+                                  gazetteer, parser, cfg)
+    else:
+        res, lens = _run_representatives(inputs.select(INPUT_FIELDS),
+                                         gazetteer, parser, cfg, stats_out)
+    src = np.repeat(np.arange(inputs.num_rows), lens)
+    return res.add_column(0, RESULT_SCHEMA.field(ADDR_KEY),
+                          inputs[ADDR_KEY].take(src)), src
+
+
+def _as_str(col) -> pa.ChunkedArray:
+    """One input column as non-null strings — the ``fillna("")
+    .astype(str)`` contract of the pandas entry point."""
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        return pc.fill_null(col.cast(pa.string()), "")
+    return pa.chunked_array([pa.array(
+        col.to_pandas().fillna("").astype(str), pa.string())])
+
+
+def _series_as_str(s: pd.Series) -> pa.Array:
+    """pandas twin of ``_as_str``; all-``str`` columns skip the pandas
+    conversion, whose per-column cost dominated a 1-row request."""
+    v = s.to_numpy(dtype=object)
+    if not all(type(x) is str for x in v):
+        v = s.fillna("").astype(str).to_numpy(dtype=object)
+    return pa.array(v, pa.string())
+
+
+def process_addresses_df(df, gazetteer, parser, cfg: PipelineConfig,
+                         stats_out: list | None = None):
+    """Full cascade over one batch of addresses → fixed-schema rows, one
+    per match/reject plus 'unmatched' stubs (utils.py:1195-1279), grouped
+    by input row in input order.
+
+    ``df`` is a pandas frame or an Arrow table; the result has the same
+    kind.  Columns other than addr_key and the five input fields pass
+    through, each output row carrying the values of its OWN input row
+    (positional re-attach: a repeated addr_key cannot cross rows).
 
     ``stats_out`` (optional list) receives one dict per executed cascade
     step: {step, method, todo, sent, match, reject_rec, seconds} — the
@@ -633,19 +753,25 @@ def process_addresses_df(df: pd.DataFrame, gazetteer, parser,
     utils.py:678-686), surfaced instead of discarded.  Stats passes
     bypass the result memo so counters reflect the real cascade."""
     base_cols = [ADDR_KEY] + INPUT_FIELDS
-    extra_cols = [c for c in df.columns if c not in base_cols]
-    inputs = df[base_cols].copy()
-    for c in base_cols:
-        inputs[c] = inputs[c].fillna("").astype(str)
-
-    if (stats_out is None and cfg.with_cascade_memo
-            and inputs.shape[0] > 0):
-        out = _cascade_with_memo(inputs, gazetteer, parser, cfg)
+    arrow = isinstance(df, pa.Table)
+    if arrow:
+        inputs = pa.table({c: _as_str(df[c]) for c in base_cols})
+        extra = [c for c in df.column_names if c not in base_cols]
     else:
-        out = _run_cascade(inputs, gazetteer, parser, cfg, stats_out)
-    if extra_cols:
-        out = out.merge(df[[ADDR_KEY] + extra_cols].drop_duplicates(
-            subset=[ADDR_KEY]), on=ADDR_KEY, how="left")
+        inputs = pa.table({c: _series_as_str(df[c]) for c in base_cols})
+        extra = [c for c in df.columns if c not in base_cols]
+    res, src = _geocode_table(inputs, gazetteer, parser, cfg, stats_out)
+    if arrow:
+        passthrough = df.select(extra).take(src)
+        for f, col in zip(passthrough.schema, passthrough.columns):
+            res = res.append_column(f, col)
+        return res
+    # small frames: Arrow's thread-pool hand-offs (a context switch per
+    # column block) cost more than the conversion itself
+    out = res.to_pandas(use_threads=False)
+    if extra:
+        out = pd.concat([out, df[extra].iloc[src].reset_index(drop=True)],
+                        axis=1)
     return out
 
 
@@ -663,29 +789,10 @@ class CascadeGeocoder:
         self.parser.memo_enabled = self.cfg.with_worker_memos
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        """Arrow-native split (round-4, mirrors the span path): only the
-        6 input columns enter pandas; any passthrough columns are
-        re-attached on the Arrow side with an integer take — the whole-
-        batch ``to_pandas`` round-trip was the flat path's dominant
-        memory traffic."""
-        import pyarrow.compute as pc
-        base = [ADDR_KEY] + INPUT_FIELDS
-        extra = [c for c in batch.column_names if c not in base]
-        df = batch.select(base).to_pandas()
-        out = process_addresses_df(df, self.gazetteer, self.parser,
-                                   self.cfg)
-        res_tbl = pa.Table.from_pandas(out[list(RESULT_COLUMNS)],
-                                       schema=RESULT_SCHEMA,
-                                       preserve_index=False)
-        if not extra:
-            return res_tbl
-        # cascade emits >=1 row per addr_key; keys are batch-unique
-        lookup = {k: i for i, k in enumerate(batch[ADDR_KEY].to_pylist())}
-        idx = pa.array([lookup[k] for k in out[ADDR_KEY]], pa.int64())
-        cols = {c: res_tbl[c] for c in res_tbl.column_names}
-        for c in extra:
-            cols[c] = pc.take(batch[c], idx)
-        return pa.table(cols)
+        """Arrow in, Arrow out: only representative rows of memo misses
+        enter pandas; passthrough columns follow their input row."""
+        return process_addresses_df(batch, self.gazetteer, self.parser,
+                                    self.cfg)
 
 
 # Per-worker-process component cache for the STATELESS-TASK execution
@@ -800,32 +907,17 @@ class SpanCascadeGeocoder(CascadeGeocoder):
                    "offset", "is_address"]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        """Arrow-native split: only address rows (≈30% of spans) enter
-        pandas, and only their 6 input columns — the heavy ``text``
-        passthrough column never leaves Arrow (the cascade's dominant
-        memory traffic was converting every span's text to Python objects
-        and back, plus two object-string merges, per batch)."""
-        import pyarrow.compute as pc
+        """Arrow-native split: address rows (≈30% of spans) go through
+        the cascade with the passthrough columns re-attached by position;
+        the heavy ``text`` column never leaves Arrow."""
         mask = batch["is_address"]
         addr_tbl = batch.filter(mask)
         rest_tbl = batch.filter(pc.invert(mask))
         parts = []
         if addr_tbl.num_rows > 0:
-            addr_df = addr_tbl.select([ADDR_KEY] + INPUT_FIELDS).to_pandas()
-            out = process_addresses_df(addr_df, self.gazetteer,
-                                       self.parser, self.cfg)
-            res_tbl = pa.Table.from_pandas(out[list(RESULT_COLUMNS)],
-                                           schema=RESULT_SCHEMA,
-                                           preserve_index=False)
-            # passthrough re-attach: integer take on the Arrow side (the
-            # cascade emits >=1 row per addr_key; keys are batch-unique)
-            lookup = {k: i for i, k in enumerate(
-                addr_tbl[ADDR_KEY].to_pylist())}
-            idx = pa.array([lookup[k] for k in out[ADDR_KEY]], pa.int64())
-            cols = {c: res_tbl[c] for c in res_tbl.column_names}
-            for c in self.PASSTHROUGH:
-                cols[c] = pc.take(addr_tbl[c], idx)
-            parts.append(pa.table(cols))
+            parts.append(process_addresses_df(
+                addr_tbl.select(self.PASSTHROUGH + [ADDR_KEY] + INPUT_FIELDS),
+                self.gazetteer, self.parser, self.cfg))
         if rest_tbl.num_rows > 0 or not parts:
             n = rest_tbl.num_rows
             cols = {}

@@ -5,9 +5,13 @@ Input table shape (BASELINE.json input_hint):
 ``(doc_id: string, spans: list<struct<kind, text, media_ref, offset>>)``.
 
 - ``explode_spans`` — zero-copy-ish Arrow explode (``list_flatten`` +
-  ``list_parent_indices``) emitting one row per span with its ordinal;
-  address detection + component parse only on text spans that look like
-  addresses (cheap 4-digit-postcode regex pre-filter).
+  ``list_parent_indices``) emitting one row per span with its ordinal
+  and its ``{doc_id}_s{ordinal}`` addr_key (``binary_join_element_wise``).
+  Address detection is an Arrow pre-filter over the whole batch (kind is
+  "text", contains ",", matches ``_ADDR_HINT`` under RE2); only the rows
+  that pass re-check the exact Python ``_ADDR_HINT`` — whose ``\b`` is
+  Unicode-aware, unlike RE2's ASCII one — and run ``parse_free_text``,
+  so the pre-filter may over-select but never changes the output.
 - ``reassemble_batch`` — ``groupby(doc_id).map_groups`` group fn that
   rebuilds the span list ordered by span ordinal with geocode results
   attached alongside; the per-row invariant (kind, text, media_ref,
@@ -52,51 +56,53 @@ def explode_spans(batch: pa.Table) -> pa.Table:
         doc_ids = doc_ids.combine_chunks()
     kind = flat.field("kind")
     text = flat.field("text")
-    media = flat.field("media_ref")
-    offset = flat.field("offset")
+    n = len(flat)
 
     # span ordinal within document (parent indices are sorted)
     par = parent.to_numpy(zero_copy_only=False)
-    if len(par):
+    if n:
         starts = np.flatnonzero(np.r_[True, par[1:] != par[:-1]])
-        span_idx = np.arange(len(par)) - np.repeat(starts, np.diff(np.r_[starts, len(par)]))
+        span_idx = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
     else:
         span_idx = np.array([], dtype=np.int64)
 
-    kinds = kind.to_pylist()
-    texts = text.to_pylist()
-    n = len(texts)
+    # Arrow pre-filter, a superset of the exact rule below: RE2's \b is
+    # ASCII-only where Python's is Unicode-aware ("é1000" passes here)
+    cand = pc.and_kleene(pc.equal(kind, "text"), pc.and_kleene(
+        pc.match_substring(text, ","),
+        pc.match_substring_regex(text, _ADDR_HINT.pattern)))
+    rows = np.flatnonzero(pc.fill_null(cand, False).to_numpy(
+        zero_copy_only=False))
+    texts = text.take(rows).to_pylist()
+    keep = [i for i, t in enumerate(texts) if _ADDR_HINT.search(t)]
+    rows = rows[keep]
+    parsed = [parse_free_text(texts[i]) for i in keep]
     is_addr = np.zeros(n, dtype=bool)
-    street = [""] * n
-    hn = [""] * n
-    pcx = [""] * n
-    city = [""] * n
-    country = [""] * n
-    for i in range(n):
-        t = texts[i]
-        if kinds[i] == "text" and t and _ADDR_HINT.search(t) and "," in t:
-            parts = parse_free_text(t)
-            is_addr[i] = True
-            street[i] = parts["street"]
-            hn[i] = parts["housenumber"]
-            pcx[i] = parts["postcode"]
-            city[i] = parts["city"]
-            country[i] = parts["country"]
+    is_addr[rows] = True
+    # non-address rows gather the trailing "" of each parsed column
+    slot = np.full(n, len(rows))
+    slot[rows] = np.arange(len(rows))
+    slot = pa.array(slot)
 
-    doc_np = doc_ids.to_numpy(zero_copy_only=False)
-    keys = np.char.add(np.char.add(doc_np.astype(str), "_s"),
-                       span_idx.astype(str))
+    def parsed_col(part):
+        return pa.array([p[part] for p in parsed] + [""],
+                        pa.string()).take(slot)
+
+    key = pc.binary_join_element_wise(
+        doc_ids.cast(pa.string()), pa.array(span_idx).cast(pa.string()),
+        "_s", null_handling="replace", null_replacement="None")
     return pa.table({
         "doc_id": doc_ids,
         "span_idx": pa.array(span_idx, pa.int32()),
-        "kind": kind, "text": text, "media_ref": media, "offset": offset,
+        "kind": kind, "text": text, "media_ref": flat.field("media_ref"),
+        "offset": flat.field("offset"),
         "is_address": pa.array(is_addr),
-        ADDR_KEY: pa.array(keys.tolist(), pa.string()),
-        STREET: pa.array(street, pa.string()),
-        HOUSENBR: pa.array(hn, pa.string()),
-        POSTCODE: pa.array(pcx, pa.string()),
-        CITY: pa.array(city, pa.string()),
-        COUNTRY: pa.array(country, pa.string()),
+        ADDR_KEY: key,
+        STREET: parsed_col("street"),
+        HOUSENBR: parsed_col("housenumber"),
+        POSTCODE: parsed_col("postcode"),
+        CITY: parsed_col("city"),
+        COUNTRY: parsed_col("country"),
     })
 
 

@@ -300,3 +300,108 @@ def test_worker_memos_off_identical():
     b = canon(process_addresses_df(df, gaz, p_off, off))
     pd.testing.assert_frame_equal(a, a2)
     pd.testing.assert_frame_equal(a, b)
+
+
+def _tables_identical(a, b):
+    """Every column equal, null masks and NaN positions included."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    assert a.schema == b.schema
+    for name in a.column_names:
+        x, y = a[name].combine_chunks(), b[name].combine_chunks()
+        assert pc.is_null(x).equals(pc.is_null(y)), name
+        if pa.types.is_floating(x.type):
+            assert pc.is_nan(x).equals(pc.is_nan(y)), name
+            x = pc.if_else(pc.is_nan(x), 0.0, x)
+            y = pc.if_else(pc.is_nan(y), 0.0, y)
+        assert x.equals(y), name
+
+
+def test_passthrough_follows_its_row_on_repeated_addr_key(world):
+    """A flat batch that repeats one addr_key for two different addresses
+    keeps each row's passthrough columns with that row's results."""
+    import pyarrow as pa
+
+    from georay.cascade import CascadeGeocoder
+    spec, gaz, _, _ = world
+    st = gaz.places[gaz.places.place_rank == 26].head(2)
+    rows = [dict(_addr("same_key", s["name"], "4", s["post_code"],
+                       s["post_name"]), row_tag=f"row{i}")
+            for i, (_, s) in enumerate(st.iterrows())]
+    tag_of = {r[STREET]: r["row_tag"] for r in rows}
+    batch = pa.Table.from_pylist(rows)
+    for memo in (True, False):
+        out = CascadeGeocoder(spec, PipelineConfig(with_cascade_memo=memo))(
+            batch)
+        streets = out[STREET].to_pylist()
+        assert set(streets) == set(tag_of)
+        assert out["row_tag"].to_pylist() == [tag_of[s] for s in streets]
+
+
+def test_memo_key_is_injective(world, monkeypatch):
+    """Tuples whose fields join to the same string under a separator
+    (":" or NUL) get separate memo entries and their own results."""
+    spec, gaz, parser, _ = world
+    s = gaz.places[gaz.places.place_rank == 26].iloc[0]
+    rows = []
+    for sep in (":", "\0"):
+        # (x + sep + y, z) and (x, y + sep + z) join to the same string
+        rows.append(_addr(f"a{ord(sep)}", s["name"] + sep + "4", "",
+                          s["post_code"], s["post_name"]))
+        rows.append(_addr(f"b{ord(sep)}", s["name"], "4" + sep,
+                          s["post_code"], s["post_name"]))
+    df = pd.DataFrame(rows)
+    monkeypatch.setattr(gaz, "_cascade_memo", {}, raising=False)
+    cfg = PipelineConfig()
+    on = process_addresses_df(df, gaz, parser, cfg)
+    assert len(gaz._cascade_memo[repr(cfg)].slot) == len(rows)
+    warm = process_addresses_df(df, gaz, parser, cfg)
+    off = process_addresses_df(df, gaz, parser,
+                               PipelineConfig(with_cascade_memo=False))
+    pd.testing.assert_frame_equal(on, off)
+    pd.testing.assert_frame_equal(warm, off)
+    own = df.set_index(ADDR_KEY)
+    for key, street, hn in zip(on[ADDR_KEY], on[STREET], on[HOUSENBR]):
+        assert (street, hn) == (own.at[key, STREET], own.at[key, HOUSENBR])
+
+
+def test_span_path_identical_in_every_memo_state(world, monkeypatch):
+    """The span path's Arrow output does not depend on the memo: cold,
+    warm, off and over its cap give the same table, row order, null
+    masks and NaNs included."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from georay import cascade
+    from georay.cascade import SpanCascadeGeocoder
+    from georay.corpus import make_documents
+    from georay.spans import explode_spans
+    spec, gaz, _, _ = world
+    docs, _ = make_documents(40, spec=spec, seed=11)
+    spans = explode_spans(docs)
+    addr = spans.filter(spans["is_address"])
+    tuples = list(zip(*(addr[c].to_pylist() for c in
+                        (STREET, HOUSENBR, POSTCODE, CITY, COUNTRY))))
+    assert len(set(tuples)) < len(tuples)       # in-batch repeats
+    assert addr.num_rows < spans.num_rows        # not_address spans
+    not_addr = spans.filter(pc.invert(spans["is_address"]))
+    batches = {"full": spans,
+               "one_address": pa.concat_tables([addr.slice(0, 1),
+                                                not_addr.slice(0, 3)]),
+               "no_address": not_addr}
+
+    def geocode(batch, memo):
+        return SpanCascadeGeocoder(
+            spec, PipelineConfig(with_cascade_memo=memo))(batch)
+
+    for name, batch in batches.items():
+        off = geocode(batch, False)
+        assert off.num_rows >= batch.num_rows, name
+        monkeypatch.setattr(gaz, "_cascade_memo", {}, raising=False)
+        _tables_identical(geocode(batch, True), off)      # cold
+        _tables_identical(geocode(batch, True), off)      # warm
+        monkeypatch.setattr(gaz, "_cascade_memo", {}, raising=False)
+        monkeypatch.setattr(cascade, "_MEMO_MAX_KEYS", 3)
+        _tables_identical(geocode(batch, True), off)      # overflow, cold
+        _tables_identical(geocode(batch, True), off)      # overflow, warm
+        monkeypatch.undo()
