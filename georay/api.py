@@ -11,16 +11,16 @@ Ray Data pipeline for large payloads.
 
 from __future__ import annotations
 
-import math
+import os
 import re
-from typing import Any
 
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+from pyarrow import csv as pacsv
 
 from .cascade import process_addresses_df
 from .config import (ADDR_KEY, CITY, COUNTRY, HOUSENBR, INPUT_FIELDS,
-                     POSTCODE, STREET, PipelineConfig)
+                     POSTCODE, STATUS, STREET, PipelineConfig)
 from .gazetteer import GazetteerSpec, get_gazetteer
 from .geom import haversine_km
 from .parser import AddressParser
@@ -78,44 +78,44 @@ _MODE_KEEP = {
     "long": None,
 }
 
+# type casts at the boundary (nominatimwrapper.py:813-817)
+_CASTS = {"m_place_id": int, "m_place_rank": int, "o_lat": float,
+          "o_lon": float, "m_distance_to_match": float}
+
+# (column, namespace, leaf) of every leaf each mode keeps, in
+# _NESTED_MAP order: coordinates keeps its three leaves, short drops
+# the check namespace
+_MODE_LEAVES = {
+    mode: [(col, ns, leaf) for col, (ns, leaf) in _NESTED_MAP.items()
+           if (mode != "coordinates" or (ns, leaf) in _MODE_KEEP[mode])
+           and (mode != "short" or ns != "check")]
+    for mode in MODES}
+
+_INPUT_SCHEMA = pa.schema([(c, pa.string())
+                           for c in [ADDR_KEY] + INPUT_FIELDS])
+
 
 def to_camel_case(key: str) -> str:
     """snake_case -> camelCase (utils.py:76-103)."""
     return re.sub(r"_([a-z0-9])", lambda m: m.group(1).upper(), key)
 
 
-def _is_empty(v: Any) -> bool:
-    if v is None:
-        return True
-    if isinstance(v, float) and math.isnan(v):
-        return True
-    if isinstance(v, str) and v == "":
-        return True
-    return False
-
-
-def row_to_nested(row: dict, mode: str = "short") -> dict:
-    """Pack a flat result row into the nested camelCase JSON shape,
-    skipping null/empty leaves (multiindex_to_dict semantics:
-    utils.py:218 drops NaN and '')."""
-    out: dict[str, dict] = {}
-    for col, (ns, leaf) in _NESTED_MAP.items():
-        if col not in row:
-            continue
-        v = row[col]
-        if _is_empty(v):
-            continue
-        if mode == "coordinates" and (ns, leaf) not in _MODE_KEEP["coordinates"]:
-            continue
-        if mode == "short" and ns == "check":
-            continue
-        # type casts at the boundary (nominatimwrapper.py:813-817)
-        if col in ("m_place_id", "m_place_rank"):
-            v = int(v)
-        elif col in ("o_lat", "o_lon", "m_distance_to_match"):
-            v = float(v)
-        out.setdefault(ns, {})[leaf] = v
-    return out
+def _nested_rows(tbl: pa.Table, leaves: list[tuple[str, str, str]]
+                 ) -> list[dict]:
+    """Pack every row of ``tbl``, whose columns are the ``leaves``'
+    columns in order, into the nested camelCase JSON shape, skipping
+    null/empty leaves (multiindex_to_dict semantics: utils.py:218 drops
+    NaN and ''), one column at a time: each column converts to Python
+    once and fills its leaf in every row."""
+    rows: list[dict] = [{} for _ in range(tbl.num_rows)]
+    for (col, ns, leaf), values in zip(leaves, tbl.columns):
+        cast = _CASTS.get(col)
+        for out, v in zip(rows, values.to_pylist()):
+            # None, "" or NaN (the only value != itself)
+            if v is None or v == "" or v != v:
+                continue
+            out.setdefault(ns, {})[leaf] = cast(v) if cast else v
+    return rows
 
 
 def validate_geocode_args(mode: str = "short", with_rejected: bool = False,
@@ -272,19 +272,25 @@ def geocode_one(data: dict, mode: str = "short", with_rejected: bool = True,
     cfg = cfg or PipelineConfig(check_results=check_result,
                                 with_extra_house_number=extra_house_number)
     cfg = _long_mode_cfg(cfg, mode)
-    res = process_addresses_df(pd.DataFrame([row]), gaz, parser, cfg)
+    res = process_addresses_df(
+        pa.Table.from_pylist([row], schema=_INPUT_SCHEMA), gaz, parser, cfg)
     return _format_results(res, mode, with_rejected)
 
 
-def _format_results(res: pd.DataFrame, mode: str,
+def _format_results(res: pa.Table, mode: str,
                     with_rejected: bool) -> dict:
-    match = [row_to_nested(r, mode)
-             for r in res[res["status"] == "match"].to_dict("records")]
-    rejected = []
-    if with_rejected:
-        rejected = [row_to_nested(r, mode)
-                    for r in res[res["status"] == "reject"].to_dict("records")]
-    return {"match": match, "rejected": rejected}
+    """Cascade rows → {"match": [...], "rejected": [...]} in the nested
+    shape: status filtered in Arrow, only the mode's columns converted."""
+    present = set(res.schema.names)
+    leaves = [lf for lf in _MODE_LEAVES[mode] if lf[0] in present]
+    cols = res.select([col for col, _, _ in leaves])
+
+    def nested(status: str) -> list[dict]:
+        return _nested_rows(cols.filter(pc.equal(res[STATUS], status)),
+                            leaves)
+
+    return {"match": nested("match"),
+            "rejected": nested("reject") if with_rejected else []}
 
 
 def batch_geocode(payload: list[dict], mode: str = "short",
@@ -318,8 +324,24 @@ def batch_geocode(payload: list[dict], mode: str = "short",
     cfg = cfg or PipelineConfig(check_results=check_result,
                                 with_extra_house_number=extra_house_number)
     cfg = _long_mode_cfg(cfg, mode)
-    res = process_addresses_df(pd.DataFrame(rows), gaz, parser, cfg)
+    res = process_addresses_df(
+        pa.Table.from_pylist(rows, schema=_INPUT_SCHEMA), gaz, parser, cfg)
     return _format_results(res, mode, with_rejected)
+
+
+def _csv_as_strings(streams) -> pacsv.ConvertOptions:
+    """Convert options typing every header column of ``streams`` (binary
+    files, each closed once its header is read) as string.  The types
+    must be fixed before the parse: inferred types cannot be cast back
+    (``'001'`` parses as 1 and returns as ``'1'``)."""
+    names: dict[str, None] = {}
+    for stream in streams:
+        with stream, pacsv.open_csv(stream, read_options=pacsv.ReadOptions(
+                use_threads=False)) as head:
+            names.update(dict.fromkeys(head.schema.names))
+    return pacsv.ConvertOptions(
+        column_types={n: pa.string() for n in names},
+        strings_can_be_null=False)
 
 
 def batch_geocode_csv(csv_source, mode: str = "short",
@@ -328,54 +350,83 @@ def batch_geocode_csv(csv_source, mode: str = "short",
                       extra_house_number: bool = True,
                       spec: GazetteerSpec | None = None,
                       cfg: PipelineConfig | None = None) -> dict:
-    """CSV batch source — the reference's /batchGeocode file-upload
-    path (nominatimwrapper.py:709-769 parses the request body as CSV
-    before the same pipeline): Arrow-native ``pyarrow.csv`` parse with
-    every column read as string (the reference's dtype=str contract),
+    """CSV batch source — a CSV form of the /batchGeocode payload (the
+    reference endpoint, nominatimwrapper.py:709-769, takes a JSON list
+    of all-string dicts): Arrow-native ``pyarrow.csv`` parse with every
+    column typed string before the parse, so ``'001'`` stays ``'001'``,
     then the identical mandatory-field / duplicate-key validation via
     ``batch_geocode``.  ``csv_source`` is a filesystem path or raw
     ``bytes``.  For beyond-memory CSVs use ``csv_dataset`` +
     ``pipeline.geocode_addresses`` (streaming)."""
     import io
 
-    from pyarrow import csv as pacsv
+    def src():
+        return (io.BytesIO(csv_source) if isinstance(csv_source, bytes)
+                else pa.input_stream(csv_source))
 
-    src = io.BytesIO(csv_source) if isinstance(csv_source, bytes) \
-        else csv_source
     tbl = pacsv.read_csv(
-        src, convert_options=pacsv.ConvertOptions(
-            column_types={}, strings_can_be_null=False),
+        src(), convert_options=_csv_as_strings([src()]),
         read_options=pacsv.ReadOptions(use_threads=False))
-    cols = {c: tbl[c].cast(pa.string()).to_pylist()
-            for c in tbl.column_names}
-    payload = [{c: (cols[c][i] if cols[c][i] is not None else "")
-                for c in cols} for i in range(tbl.num_rows)]
-    return batch_geocode(payload, mode=mode, with_rejected=with_rejected,
+    return batch_geocode(tbl.to_pylist(), mode=mode,
+                         with_rejected=with_rejected,
                          check_result=check_result,
                          extra_house_number=extra_house_number,
                          spec=spec, cfg=cfg)
 
 
-def csv_dataset(path: str) -> "ray.data.Dataset":
+def _csv_files(path) -> tuple[list[str], "pafs.FileSystem"]:
+    """The files ``path`` names, with their one filesystem.  ``path`` is
+    a file, a directory (searched recursively; entries whose path below
+    it starts with ``.`` or ``_`` are skipped, Ray's rule) or a list of
+    either, each a local path or a URI such as ``s3://bucket/key``."""
+    from pyarrow import fs as pafs
+
+    fs, files = None, []
+    for p in [path] if isinstance(path, (str, os.PathLike)) else path:
+        p = os.fspath(p)
+        if "://" in p:
+            p_fs, root = pafs.FileSystem.from_uri(p)
+        else:
+            p_fs, root = pafs.LocalFileSystem(), os.path.abspath(p)
+        fs = fs or p_fs
+        if p_fs.type_name != fs.type_name:
+            raise ValueError(f"csv_dataset: {p!r} is not on the "
+                             f"{fs.type_name} filesystem of the other paths")
+        if fs.get_file_info(root).type != pafs.FileType.Directory:
+            files.append(root)
+            continue
+        found = fs.get_file_info(pafs.FileSelector(root, recursive=True))
+        files += sorted(
+            f.path for f in found if f.type == pafs.FileType.File
+            and not f.path[len(root):].lstrip("/").startswith((".", "_")))
+    return files, fs
+
+
+def csv_dataset(path) -> "ray.data.Dataset":
     """Streaming CSV source for the Dataset pipeline: every column as
-    string (the CSV contract), blocks stream with backpressure — feed
-    the result to ``pipeline.geocode_addresses`` for beyond-memory
-    files."""
+    string (the CSV contract, leading zeros kept), blocks stream with
+    backpressure — feed the result to ``pipeline.geocode_addresses`` for
+    beyond-memory files.  ``path`` is a CSV file, a directory of them or
+    a list of either, local or a URI (see ``_csv_files``).  The file
+    list is resolved once: every file's header is read to type its
+    columns, and Ray reads exactly those files."""
     import ray.data
-    from pyarrow import csv as pacsv
 
-    def to_str(batch: pa.Table) -> pa.Table:
-        return pa.table({c: batch[c].cast(pa.string())
-                         for c in batch.column_names})
-
-    return ray.data.read_csv(path).map_batches(
-        to_str, batch_format="pyarrow")
+    files, fs = _csv_files(path)
+    return ray.data.read_csv(
+        files, filesystem=fs,
+        convert_options=_csv_as_strings(fs.open_input_stream(f)
+                                        for f in files))
 
 
 def json_dataset(path: str) -> "ray.data.Dataset":
     """Streaming JSON-lines source (the dict-payload contract of
     /batchGeocode as a file format): every field coerced to string,
-    blocks stream with backpressure — symmetric with ``csv_dataset``."""
+    blocks stream with backpressure — symmetric with ``csv_dataset``.
+    JSON numbers become their string form (``1050`` → ``"1050"``,
+    ``1.0`` → ``"1"``), so a value whose leading zeros matter — a
+    postcode such as ``"0840"``, a house number, a key — must be sent as
+    a JSON string."""
     import ray.data
 
     def to_str(batch: pa.Table) -> pa.Table:

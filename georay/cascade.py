@@ -29,7 +29,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .compare import keep_bests
+from .compare import _str_values, keep_bests
 from .config import (ADDR_KEY, C_SIM_CITY, C_SIM_HOUSENBR, C_SIM_POSTCODE,
                      C_SIM_STREET, C_SIM_STREET_WHICH, CITY, CMP_FIELDS,
                      COUNTRY, DROP_ADDR_ITEMS, HOUSENBR, INPUT_FIELDS,
@@ -722,18 +722,10 @@ def _as_str(col) -> pa.ChunkedArray:
     """One input column as non-null strings — the ``fillna("")
     .astype(str)`` contract of the pandas entry point."""
     if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-        return pc.fill_null(col.cast(pa.string()), "")
+        col = col.cast(pa.string())
+        return pc.fill_null(col, "") if col.null_count else col
     return pa.chunked_array([pa.array(
         col.to_pandas().fillna("").astype(str), pa.string())])
-
-
-def _series_as_str(s: pd.Series) -> pa.Array:
-    """pandas twin of ``_as_str``; all-``str`` columns skip the pandas
-    conversion, whose per-column cost dominated a 1-row request."""
-    v = s.to_numpy(dtype=object)
-    if not all(type(x) is str for x in v):
-        v = s.fillna("").astype(str).to_numpy(dtype=object)
-    return pa.array(v, pa.string())
 
 
 def process_addresses_df(df, gazetteer, parser, cfg: PipelineConfig,
@@ -758,10 +750,13 @@ def process_addresses_df(df, gazetteer, parser, cfg: PipelineConfig,
         inputs = pa.table({c: _as_str(df[c]) for c in base_cols})
         extra = [c for c in df.column_names if c not in base_cols]
     else:
-        inputs = pa.table({c: _series_as_str(df[c]) for c in base_cols})
+        inputs = pa.table({c: pa.array(_str_values(df[c]), pa.string())
+                           for c in base_cols})
         extra = [c for c in df.columns if c not in base_cols]
     res, src = _geocode_table(inputs, gazetteer, parser, cfg, stats_out)
     if arrow:
+        if not extra:
+            return res
         passthrough = df.select(extra).take(src)
         for f, col in zip(passthrough.schema, passthrough.columns):
             res = res.append_column(f, col)

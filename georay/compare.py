@@ -165,9 +165,16 @@ def postcode_similarity(s1: str, s2: str) -> float:
     return 0.0
 
 
-def _map_pairs(a: pd.Series, b: pd.Series, fn) -> np.ndarray:
-    av = a.fillna("").astype(str).to_numpy()
-    bv = b.fillna("").astype(str).to_numpy()
+def _str_values(s: pd.Series) -> np.ndarray:
+    """One column as an object array of ``str`` (the ``fillna("")
+    .astype(str)`` contract); all-``str`` columns skip the conversion."""
+    v = s.to_numpy(dtype=object)
+    if all(type(x) is str for x in v):
+        return v
+    return s.fillna("").astype(str).to_numpy(dtype=object)
+
+
+def _map_pairs(av: np.ndarray, bv: np.ndarray, fn) -> np.ndarray:
     n = len(av)
     if n > 64:
         # candidate explosion repeats the same (candidate, input) string
@@ -187,6 +194,28 @@ def _map_pairs(a: pd.Series, b: pd.Series, fn) -> np.ndarray:
                        dtype=np.float64, count=n)
 
 
+def _ascending_key(v: np.ndarray) -> np.ndarray:
+    """Sort key ordering like pandas' ``sort_values`` (NA last): numeric
+    values as they are, anything else by its rank among the sorted
+    distinct values."""
+    if v.dtype.kind in "biuf":
+        return v
+    codes, uniq = pd.factorize(v, sort=True)
+    return np.where(codes < 0, len(uniq), codes)
+
+
+def _with_columns(df: pd.DataFrame, cols: dict[str, np.ndarray]
+                  ) -> pd.DataFrame:
+    """``df`` plus ``cols`` in one column-wise concat (no per-column
+    inserts); a column ``df`` already has is replaced where it stands."""
+    new = pd.DataFrame(cols, index=df.index)
+    old = [c for c in cols if c in df.columns]
+    if not old:
+        return pd.concat([df, new], axis=1)
+    order = list(df.columns) + [c for c in cols if c not in df.columns]
+    return pd.concat([df.drop(columns=old), new], axis=1)[order]
+
+
 def keep_bests(df: pd.DataFrame,
                street_cols_a: list[str],
                housenbr_col_a: str, postcode_col_a: str, city_col_a: str,
@@ -203,13 +232,18 @@ def keep_bests(df: pd.DataFrame,
     Returns ``(keep, reject)``; rejects carry ``m_reject_reason`` of
     ``"mismatch"`` (failed the elimination rule :532) or ``"tail"``
     (valid but not first).  Adds the ``c_sim_*`` score columns to both.
+    ``keep`` is in (addr_key, street score desc, house-number score
+    desc, ``secondary_sort_col``) order; ``reject`` holds the mismatches
+    in input order, then the tail in that sort order.  Scores, the
+    elimination mask, the sort and the per-address rank are numpy
+    arrays over row positions; the scores join ``df`` in one concat and
+    each output is ONE ``take`` of it (index labels are carried, never
+    looked up).
     """
     if df.shape[0] == 0:
         return df, df
 
-    df = df.copy()
-    street_b = df[street_col_b].fillna("").astype(str)
-
+    street_b = _str_values(df[street_col_b])
     sim_street = np.full(len(df), -1.0)
     sim_which = np.full(len(df), "", dtype=object)
     # street compared against a priority list of candidate fields,
@@ -220,39 +254,50 @@ def keep_bests(df: pd.DataFrame,
             break
         if col not in df.columns:
             continue
-        sub = _map_pairs(df.loc[mask, col], street_b[mask], street_similarity)
-        sim_street[mask] = sub
+        sim_street[mask] = _map_pairs(_str_values(df[col])[mask],
+                                      street_b[mask], street_similarity)
         sim_which[mask] = col
 
-    df[C_SIM_STREET] = sim_street
-    df[C_SIM_STREET_WHICH] = sim_which
-    df[C_SIM_HOUSENBR] = _map_pairs(df[housenbr_col_a], df[housenbr_col_b],
-                                    house_number_similarity)
-    df[C_SIM_POSTCODE] = _map_pairs(df[postcode_col_a], df[postcode_col_b],
-                                    postcode_similarity)
-    df[C_SIM_CITY] = _map_pairs(df[city_col_a], df[city_col_b],
-                                city_similarity)
+    scores = {
+        C_SIM_STREET: sim_street,
+        C_SIM_STREET_WHICH: sim_which,
+        C_SIM_HOUSENBR: _map_pairs(_str_values(df[housenbr_col_a]),
+                                   _str_values(df[housenbr_col_b]),
+                                   house_number_similarity),
+        C_SIM_POSTCODE: _map_pairs(_str_values(df[postcode_col_a]),
+                                   _str_values(df[postcode_col_b]),
+                                   postcode_similarity),
+        C_SIM_CITY: _map_pairs(_str_values(df[city_col_a]),
+                               _str_values(df[city_col_b]),
+                               city_similarity),
+    }
 
     # elimination rule (check_result_utils.py:532)
-    eliminate = (((df[C_SIM_POSTCODE] < 0.1) & (df[C_SIM_CITY] < threshold))
-                 | (df[C_SIM_STREET] < threshold))
+    eliminate = (((scores[C_SIM_POSTCODE] < 0.1)
+                  & (scores[C_SIM_CITY] < threshold))
+                 | (sim_street < threshold))
 
-    rejected = df[eliminate].copy()
-    rejected[M_REJECT_REASON] = "mismatch"
+    valid = np.flatnonzero(~eliminate)
+    # addr_key as factorize(sort=True) codes: the order of sorting the
+    # strings themselves at integer-compare cost; np.lexsort is stable,
+    # so ties keep input order exactly as a mergesort would
+    akc, _ = pd.factorize(df[ADDR_KEY].to_numpy()[valid], sort=True)
+    perm = np.lexsort((
+        _ascending_key(df[secondary_sort_col].to_numpy()[valid]),
+        -scores[C_SIM_HOUSENBR][valid], -sim_street[valid], akc))
+    order = valid[perm]
+    akc = akc[perm]
+    # rank within the address = position - the address's first position
+    first = np.ones(len(akc), dtype=bool)
+    first[1:] = akc[1:] != akc[:-1]
+    at = np.arange(len(akc))
+    top = at - np.maximum.accumulate(np.where(first, at, 0)) < max_res
 
-    result = df[~eliminate].copy()
-    # sort on factorize(sort=True) codes: identical order to sorting the
-    # object-string ADDR_KEY itself (codes are rank-in-sorted-uniques)
-    # at integer-compare cost instead of per-comparison string compares
-    result["_akc"], _ = pd.factorize(result[ADDR_KEY].to_numpy(),
-                                     sort=True)
-    result = result.sort_values(
-        ["_akc", C_SIM_STREET, C_SIM_HOUSENBR, secondary_sort_col],
-        ascending=[True, False, False, True], kind="mergesort")
-    head = result.groupby("_akc", sort=False).head(max_res)
-    result = result.drop(columns=["_akc"])
-    head = head.drop(columns=["_akc"])
-    tail = result[~result.index.isin(head.index)].copy()
-    tail[M_REJECT_REASON] = "tail"
-
-    return head, pd.concat([rejected, tail])
+    scored = _with_columns(df, scores)
+    mismatch = np.flatnonzero(eliminate)
+    tail = order[~top]
+    reject = scored.take(np.concatenate([mismatch, tail]))
+    reject[M_REJECT_REASON] = np.repeat(
+        np.array(["mismatch", "tail"], dtype=object),
+        [len(mismatch), len(tail)])
+    return scored.take(order[top]), reject

@@ -4,7 +4,7 @@
 import pytest
 
 from georay.api import (batch_geocode, geocode_one, health_check,
-                        row_to_nested, to_camel_case)
+                        to_camel_case)
 from georay.gazetteer import GazetteerSpec, get_gazetteer
 
 SPEC = GazetteerSpec()
@@ -231,3 +231,239 @@ def test_json_dataset_streaming_source(street, tmp_path, ray_session):
     ds = json_dataset(str(path))
     out = geocode_addresses(ds, SPEC, PipelineConfig()).to_pandas()
     assert set(out["addr_key"]) == {"1"} and len(out) >= 1
+
+
+# ---------------------------------------------------------------------------
+# string contract across input surfaces
+
+def _write_csv(path, rows):
+    import csv as _csv
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = _csv.DictWriter(f, fieldnames=list(rows[0]))
+        w.writeheader()
+        w.writerows(rows)
+
+
+def test_batch_geocode_csv_keeps_leading_zeros(street, tmp_path):
+    # every CSV column is typed string BEFORE the parse: inferring ints
+    # and casting back turned "001" into "1" and "04" into "4"
+    from georay.api import batch_geocode_csv
+
+    p = dict(_payload(street, "001"), house_number="04")
+    path = tmp_path / "zeros.csv"
+    _write_csv(path, [p])
+    for src in (str(path), path.read_bytes()):
+        res = batch_geocode_csv(src, with_rejected=True)
+        assert res["match"], res
+        inp = res["match"][0]["input"]
+        assert inp["referenceKey"] == "001"
+        assert inp["houseNumber"] == "04"
+        assert res == batch_geocode([p], with_rejected=True)
+
+
+def test_csv_dataset_keeps_leading_zeros(street, tmp_path, ray_session):
+    from georay.api import csv_dataset
+
+    rows = [dict(_payload(street, "001"), house_number="04",
+                 post_code="0840"),
+            dict(_payload(street, "002"), house_number="", post_code="")]
+    path = tmp_path / "zeros.csv"
+    _write_csv(path, rows)
+    got = csv_dataset(str(path)).take_all()
+    assert [{k: r[k] for k in rows[0]} for r in got] == rows
+    # a directory of files reads the same way
+    (tmp_path / "dir").mkdir()
+    _write_csv(tmp_path / "dir" / "a.csv", rows[:1])
+    _write_csv(tmp_path / "dir" / "b.csv", rows[1:])
+    got = csv_dataset(str(tmp_path / "dir")).take_all()
+    assert sorted(r["addr_key"] for r in got) == ["001", "002"]
+    assert {r["house_number"] for r in got} == {"04", ""}
+
+
+def test_csv_dataset_types_every_file_it_reads(street, tmp_path, ray_session):
+    # the files whose headers are typed and the files Ray reads are one
+    # list: a nested file with another suffix is read with leading zeros
+    # kept, Ray-hidden entries are read by neither, and a file:// URI or
+    # a list of paths resolves the same way
+    from georay.api import csv_dataset
+
+    rows = [dict(_payload(street, "001"), house_number="04"),
+            dict(_payload(street, "002"), post_code="0840")]
+    d = tmp_path / "dir"
+    (d / "sub").mkdir(parents=True)
+    _write_csv(d / "a.csv", rows[:1])
+    _write_csv(d / "sub" / "b.data", rows[1:])
+    (d / "_SUCCESS").write_bytes(b"")
+    (d / ".part.csv.crc").write_bytes(b"\x00\x01")
+    for src in (str(d), d.as_uri(), [str(d / "a.csv"), d / "sub"]):
+        got = sorted(csv_dataset(src).take_all(), key=lambda r: r["addr_key"])
+        assert [{k: r[k] for k in rows[0]} for r in got] == rows, src
+
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+_REAL = get_gazetteer(SPEC).places.query("place_rank == 26").head(6)
+_ODD = st.text(alphabet="0aéß北 ,\"'-;", max_size=8)
+
+
+@st.composite
+def _payloads(draw):
+    n = draw(st.integers(1, 4))
+    keys = draw(st.lists(st.text(alphabet="0123,\"é ", min_size=1,
+                                 max_size=4), min_size=n, max_size=n,
+                         unique=True))
+    rows = []
+    for key in keys:
+        st_row = _REAL.iloc[draw(st.integers(0, len(_REAL) - 1))]
+        real = draw(st.booleans())
+        rows.append({
+            "addr_key": key,
+            "street_name": st_row["name"] if real else draw(_ODD),
+            "house_number": draw(st.sampled_from(["04", "4", "", "0012",
+                                                  "4, bt 2"])),
+            "post_code": (draw(st.sampled_from([st_row["post_code"],
+                                                "0" + st_row["post_code"],
+                                                ""])) if real
+                          else draw(_ODD)),
+            "post_name": st_row["post_name"] if real else draw(_ODD),
+            "country_name": draw(st.sampled_from(["Belgium", "België", ""])),
+        })
+    return rows
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_payloads())
+def test_input_surfaces_give_identical_output(payload):
+    # dict payload, CSV path and CSV bytes: same strings in, same answer
+    import tempfile
+
+    from georay.api import batch_geocode_csv
+
+    want = batch_geocode(payload, with_rejected=True)
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/batch.csv"
+        _write_csv(path, payload)
+        assert batch_geocode_csv(path, with_rejected=True) == want
+        with open(path, "rb") as f:
+            assert batch_geocode_csv(f.read(), with_rejected=True) == want
+
+
+# ---------------------------------------------------------------------------
+# the Arrow formatter against the pandas to_dict("records") one it replaced
+
+import math
+
+import pandas as pd
+import pyarrow as pa
+
+from georay import api
+
+
+def _ref_row_to_nested(row, mode):
+    out = {}
+    for col, (ns, leaf) in api._NESTED_MAP.items():
+        if col not in row:
+            continue
+        v = row[col]
+        if (v is None or (isinstance(v, float) and math.isnan(v))
+                or (isinstance(v, str) and v == "")):
+            continue
+        if mode == "coordinates" and \
+                (ns, leaf) not in api._MODE_KEEP["coordinates"]:
+            continue
+        if mode == "short" and ns == "check":
+            continue
+        if col in ("m_place_id", "m_place_rank"):
+            v = int(v)
+        elif col in ("o_lat", "o_lon", "m_distance_to_match"):
+            v = float(v)
+        out.setdefault(ns, {})[leaf] = v
+    return out
+
+
+def _ref_format_results(res, mode, with_rejected):
+    match = [_ref_row_to_nested(r, mode)
+             for r in res[res["status"] == "match"].to_dict("records")]
+    rejected = []
+    if with_rejected:
+        rejected = [_ref_row_to_nested(r, mode)
+                    for r in res[res["status"] == "reject"].to_dict("records")]
+    return {"match": match, "rejected": rejected}
+
+
+@pytest.fixture(scope="module")
+def cascade_rows():
+    """Long-mode cascade output of a 50-address batch (matches, rejects,
+    unmatched, a cleansed house number), plus rows with nulls, NaNs and
+    -1 sentinels written in."""
+    from georay.cascade import RESULT_SCHEMA, process_addresses_df
+    from georay.config import PipelineConfig
+    from georay.parser import AddressParser
+
+    streets = get_gazetteer(SPEC).places.query("place_rank == 26")
+    rows = []
+    for i in range(50):
+        s = streets.iloc[i % 20]
+        rows.append({"addr_key": f"k{i}",
+                     "street_name": s["name"] if i % 7 else f"Nowhere {i}",
+                     "house_number": ["4", "4 bt 2", "", "9999"][i % 4],
+                     "post_code": s["post_code"], "post_name": s["post_name"],
+                     "country_name": "Belgium"})
+    tbl = process_addresses_df(
+        pa.Table.from_pylist(rows), get_gazetteer(SPEC), AddressParser(),
+        PipelineConfig(with_candidate_json=True))
+    assert tbl.num_rows >= 50
+    recs = tbl.to_pylist()
+    match = [r for r in recs if r["status"] == "match"]
+    match[0].update(o_lat=None, m_place_rank=None, o_street_name=None,
+                    m_match_on_cleansed_house_number=None)
+    match[1].update(o_lon=float("nan"), m_place_id=-1, m_osm_order=-1)
+    return pa.Table.from_pylist(recs, schema=RESULT_SCHEMA)
+
+
+def test_cascade_rows_cover_the_edge_values(cascade_rows):
+    df = cascade_rows.to_pandas()
+    shown = df[df["status"].isin(["match", "reject"])]
+    assert (df["status"] == "reject").sum() > 0
+    assert shown["m_distance_to_match"].isna().any()
+    assert shown["o_lat"].isna().any() and shown["o_lon"].isna().any()
+    assert (shown["m_place_id"] == -1).any()
+    assert (shown["m_match_on_cleansed_house_number"] == False).any()  # noqa: E712
+    assert (shown["m_match_on_cleansed_house_number"] == True).any()  # noqa: E712
+    assert (shown["candidate_json"] != "").any()
+
+
+@pytest.mark.parametrize("mode", api.MODES)
+@pytest.mark.parametrize("with_rejected", [True, False])
+def test_format_results_matches_pandas_reference(cascade_rows, mode,
+                                                 with_rejected):
+    got = api._format_results(cascade_rows, mode, with_rejected)
+    want = _ref_format_results(cascade_rows.to_pandas(), mode, with_rejected)
+    assert got == want
+    # same leaves in the same order, same Python types
+    assert repr(got) == repr(want)
+    # a one-row table takes the same path as the 50-row batch
+    one = cascade_rows.slice(0, 1)
+    assert api._format_results(one, mode, with_rejected) == \
+        _ref_format_results(one.to_pandas(), mode, with_rejected)
+
+
+def test_memo_hits_build_no_dataframe(street, monkeypatch):
+    # a memo hit stays in Arrow from payload to nested dicts
+    one = _payload(street, "guard")
+    batch = [_payload(street, f"guard{i}") for i in range(3)]
+    geocode_one(one)
+    batch_geocode(batch, with_rejected=True)
+    built = []
+    init = pd.DataFrame.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pd.DataFrame, "__init__", counting_init)
+    assert geocode_one(one)["match"]
+    assert batch_geocode(batch, with_rejected=True)["match"]
+    assert built == []

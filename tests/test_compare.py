@@ -1,6 +1,7 @@
 """Comparator semantics pinned to the reference truth tables
 (check_result_utils.py; FIXTURES.md §5)."""
 
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -178,3 +179,166 @@ def test_self_similarity_is_one(a):
     # empty (check_result_utils.py:147-168) — self-sim holds otherwise
     if a.strip():
         assert city_similarity(a, a) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# keep_bests against the whole-frame pandas implementation it replaced
+
+from georay.compare import SIMILARITY_THRESHOLD
+from georay.config import (C_SIM_CITY, C_SIM_HOUSENBR, C_SIM_POSTCODE)
+
+
+def _ref_map_pairs(a, b, fn):
+    av = a.fillna("").astype(str).to_numpy()
+    bv = b.fillna("").astype(str).to_numpy()
+    return np.fromiter((fn(x, y) for x, y in zip(av, bv)),
+                       dtype=np.float64, count=len(av))
+
+
+def _ref_keep_bests(df, street_cols_a, housenbr_col_a, postcode_col_a,
+                    city_col_a, street_col_b, housenbr_col_b,
+                    postcode_col_b, city_col_b, secondary_sort_col,
+                    max_res=1, threshold=SIMILARITY_THRESHOLD):
+    if df.shape[0] == 0:
+        return df, df
+    df = df.copy()
+    street_b = df[street_col_b].fillna("").astype(str)
+    sim_street = np.full(len(df), -1.0)
+    sim_which = np.full(len(df), "", dtype=object)
+    for col in street_cols_a:
+        mask = sim_street < threshold
+        if not mask.any():
+            break
+        if col not in df.columns:
+            continue
+        sub = _ref_map_pairs(df.loc[mask, col], street_b[mask],
+                             street_similarity)
+        sim_street[mask] = sub
+        sim_which[mask] = col
+    df[C_SIM_STREET] = sim_street
+    df[C_SIM_STREET_WHICH] = sim_which
+    df[C_SIM_HOUSENBR] = _ref_map_pairs(df[housenbr_col_a],
+                                        df[housenbr_col_b],
+                                        house_number_similarity)
+    df[C_SIM_POSTCODE] = _ref_map_pairs(df[postcode_col_a],
+                                        df[postcode_col_b],
+                                        postcode_similarity)
+    df[C_SIM_CITY] = _ref_map_pairs(df[city_col_a], df[city_col_b],
+                                    city_similarity)
+    eliminate = (((df[C_SIM_POSTCODE] < 0.1) & (df[C_SIM_CITY] < threshold))
+                 | (df[C_SIM_STREET] < threshold))
+    rejected = df[eliminate].copy()
+    rejected[M_REJECT_REASON] = "mismatch"
+    result = df[~eliminate].copy()
+    result["_akc"], _ = pd.factorize(result[ADDR_KEY].to_numpy(),
+                                     sort=True)
+    result = result.sort_values(
+        ["_akc", C_SIM_STREET, C_SIM_HOUSENBR, secondary_sort_col],
+        ascending=[True, False, False, True], kind="mergesort")
+    head = result.groupby("_akc", sort=False).head(max_res)
+    result = result.drop(columns=["_akc"])
+    head = head.drop(columns=["_akc"])
+    tail = result[~result.index.isin(head.index)].copy()
+    tail[M_REJECT_REASON] = "tail"
+    return head, pd.concat([rejected, tail])
+
+
+_STREETS = ["Avenue Louise", "Louizalaan", "Avenue Louise - Louizalaan",
+            "Rue Neuve", "Nieuwstraat", "", None]
+_HNS = ["1", "10", "10-12", "12", "2a", "", None]
+_PCS = ["1000", "1050", "B-1050", "1060", "", None]
+_CITIES = ["Bruxelles", "BRUXELLES", "Brussel", "Ixelles", "", None]
+
+
+@st.composite
+def _candidate_frames(draw):
+    n = draw(st.integers(0, 14))
+    pick = lambda xs: draw(st.lists(st.sampled_from(xs), min_size=n,
+                                    max_size=n))
+    data = {
+        "extra_int": list(range(n)),
+        ADDR_KEY: pick(["a", "b", "10", "9", "a"]),
+        "s1": pick(_STREETS), "s2": pick(_STREETS),
+        "hn": pick(_HNS), "pc": pick(_PCS), "city": pick(_CITIES),
+        "in_s": pick(_STREETS[:4]), "in_hn": pick(_HNS),
+        "in_pc": pick(_PCS), "in_city": pick(_CITIES),
+        "ord": pick([0, 1, 1, 2]),
+        "ord_f": pick([0.0, 1.0, float("nan")]),
+        "ord_s": pick(["x", "y", None]),
+        "flag": pick([True, False]),
+    }
+    if draw(st.booleans()):   # a score column already present
+        data[C_SIM_CITY] = pick([0.25, float("nan")])
+    df = pd.DataFrame(data)
+    labels = draw(st.permutations(range(100, 100 + n)))
+    df.index = pd.Index(list(labels), dtype=np.int64)
+    kw = dict(
+        street_cols_a=draw(st.lists(st.sampled_from(["s1", "s2", "s_absent"]),
+                                    min_size=1, max_size=3)),
+        housenbr_col_a="hn", postcode_col_a="pc", city_col_a="city",
+        street_col_b="in_s", housenbr_col_b="in_hn", postcode_col_b="in_pc",
+        city_col_b="in_city",
+        secondary_sort_col=draw(st.sampled_from(["ord", "ord_f", "ord_s",
+                                                  ADDR_KEY])),
+        max_res=draw(st.sampled_from([1, 2])),
+        threshold=draw(st.sampled_from([SIMILARITY_THRESHOLD, 0.0, 1.5])))
+    return df, kw
+
+
+def _assert_same_split(df, kw):
+    keep, reject = keep_bests(df, **kw)
+    ref_keep, ref_reject = _ref_keep_bests(df, **kw)
+    for got, ref in ((keep, ref_keep), (reject, ref_reject)):
+        assert list(got.index) == list(ref.index)
+        assert list(got.columns) == list(ref.columns)
+        pd.testing.assert_frame_equal(got, ref)
+    return keep, reject
+
+
+@settings(max_examples=300, deadline=None)
+@given(_candidate_frames())
+def test_keep_bests_matches_pandas_reference(case):
+    df, kw = case
+    _assert_same_split(df, kw)
+
+
+def _tied_frame(n=6):
+    # every sort key tied, two addresses interleaved
+    return pd.DataFrame({
+        ADDR_KEY: ["b", "a"] * (n // 2),
+        "s1": ["Avenue Louise"] * n, "s2": ["Rue Neuve"] * n,
+        "hn": ["10"] * n, "pc": ["1050"] * n, "city": ["Ixelles"] * n,
+        "in_s": ["Avenue Louise"] * n, "in_hn": ["10"] * n,
+        "in_pc": ["1050"] * n, "in_city": ["Ixelles"] * n,
+        "ord": [0] * n,
+    }, index=[7, 3, 11, 5, 2, 9][:n])
+
+
+_TIED_KW = dict(housenbr_col_a="hn", postcode_col_a="pc", city_col_a="city",
+                street_col_b="in_s", housenbr_col_b="in_hn",
+                postcode_col_b="in_pc", city_col_b="in_city")
+
+
+@pytest.mark.parametrize("max_res", [1, 2])
+@pytest.mark.parametrize("secondary", ["ord", ADDR_KEY])
+def test_keep_bests_full_ties_keep_input_order(max_res, secondary):
+    keep, reject = _assert_same_split(
+        _tied_frame(), dict(street_cols_a=["s_absent", "s1", "s2"],
+                            secondary_sort_col=secondary, max_res=max_res,
+                            **_TIED_KW))
+    # no row eliminated; ties resolved by input order within each address
+    assert list(keep.index) == ([3, 7] if max_res == 1 else [3, 5, 7, 11])
+    assert set(reject[M_REJECT_REASON]) == {"tail"}
+    # the short-circuit stops at the first street field that passes
+    assert set(keep[C_SIM_STREET_WHICH]) == {"s1"}
+
+
+def test_keep_bests_all_rows_eliminated():
+    df = _tied_frame()
+    df["in_s"] = "Rue Neuve"
+    df["in_city"] = "Liège"
+    df["in_pc"] = "4000"
+    keep, reject = _assert_same_split(
+        df, dict(street_cols_a=["s1"], secondary_sort_col="ord", **_TIED_KW))
+    assert keep.shape[0] == 0 and reject.shape[0] == len(df)
+    assert set(reject[M_REJECT_REASON]) == {"mismatch"}
