@@ -221,10 +221,6 @@ def run_bench() -> dict:
         return out
 
     # -- headline: geocode pipeline ------------------------------------
-    # leave ~1/4 of the node for the read tasks, annotator pools and
-    # rollup partials — a pool that reserves every CPU deadlocks the
-    # streaming executor (1-CPU read tasks can never schedule)
-    cascade_conc = max(4, (num_cpus * 3) // 4)
     # withRejected=False mirrors the reference benchmark config
     # (/batchGeocode default, nominatimwrapper.py) and skips the 3x-wider
     # reject rows; checkResult stays ON (full comparator validation).
@@ -258,7 +254,7 @@ def run_bench() -> dict:
                                 cfg=PipelineConfig(with_rejected=False,
                                                    with_cascade_memo=memo_on,
                                                    with_worker_memos=memo_on),
-                                concurrency=cascade_conc, batch_size=1024)
+                                batch_size=1024)
         match = res.map_batches(
             lambda b: b.filter(pc.equal(b["status"], "match")),
             batch_format="pyarrow")

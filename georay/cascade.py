@@ -2,10 +2,10 @@
 
 This is the engine's core operator: the whole 10-step cascade of
 /root/reference/utils.py:1195-1279 (``process_addresses``) executes inside
-ONE ``map_batches`` actor stage per batch — anti-joins between steps are
-boolean masks, candidate explode + re-attach never leave the batch
+ONE stateless ``map_batches`` task per batch — anti-joins between steps
+are boolean masks, candidate explode + re-attach never leave the batch
 (SURVEY.md §2.4: no shuffle needed), and the gazetteer/parser state is
-built once per actor process.
+built once per worker process (``worker_component``).
 
 Step internals mirror ``transform_and_process`` (utils.py:589-688),
 ``process_osm`` (utils.py:303-441), ``osm_parse_and_split``
@@ -29,6 +29,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ._workergc import cascade_gc
 from .compare import _str_values, keep_bests
 from .config import (ADDR_KEY, C_SIM_CITY, C_SIM_HOUSENBR, C_SIM_POSTCODE,
                      C_SIM_STREET, C_SIM_STREET_WHICH, CITY, CMP_FIELDS,
@@ -406,7 +407,7 @@ def _extra_house_number(df: pd.DataFrame, parser) -> pd.DataFrame:
     return df
 
 
-def _finalize(df: pd.DataFrame, extra_cols: list[str]) -> pd.DataFrame:
+def _finalize(df: pd.DataFrame) -> pd.DataFrame:
     """Project to the fixed result schema with stable dtypes.
 
     Built as a dict of typed numpy arrays then ONE DataFrame
@@ -464,9 +465,6 @@ def _finalize(df: pd.DataFrame, extra_cols: list[str]) -> pd.DataFrame:
                 data[col] = np.full(n, bool(default))
             else:
                 data[col] = np.full(n, str(default), dtype=object)
-    for col in extra_cols:
-        data[col] = (df[col].to_numpy() if col in df.columns
-                     else np.full(n, None, dtype=object))
     return pd.DataFrame(data, index=df.index)
 
 
@@ -549,9 +547,8 @@ def _run_cascade(inputs: pd.DataFrame, gazetteer, parser,
 
     parts = [p for p in (match_df, rej_df, unmatched) if p.shape[0] > 0]
     if not parts:
-        return _finalize(pd.DataFrame(columns=base_cols), [])
-    allrows = pd.concat(parts, sort=False, ignore_index=True)
-    return _finalize(allrows, [])
+        return _finalize(pd.DataFrame(columns=base_cols))
+    return _finalize(pd.concat(parts, sort=False, ignore_index=True))
 
 
 # Most distinct address tuples one worker keeps per config; keys past
@@ -657,7 +654,10 @@ def _memo_results(inputs: pa.Table, store: _ResultStore, gazetteer, parser,
     """Result rows of every input row through the memo → (rows grouped
     by input row in input order, row count per input row).  Hits are
     served from the store; the misses run the cascade once per unique
-    tuple and are appended (or served batch-locally past the cap)."""
+    tuple and are appended (or served batch-locally past the cap).
+    A representative with a step-failure row is served batch-locally
+    and never appended: the failure says nothing about the address, so
+    the next batch retries it, as with the memo off."""
     n = inputs.num_rows
     keys = _memo_keys(inputs)
     slot = np.fromiter(map(store.slot.get, keys, repeat(-1, n)), np.int64, n)
@@ -674,9 +674,17 @@ def _memo_results(inputs: pa.Table, store: _ResultStore, gazetteer, parser,
             inputs.select(INPUT_FIELDS).take(rep_rows), gazetteer, parser,
             cfg, None)
         local_start = np.cumsum(counts) - counts
-        kept = store.append([keys[i] for i in rep_rows], local, counts)
-        now_stored = (rep_of >= 0) & (rep_of < kept)
-        slot[now_stored] = len(store.slot) - kept + rep_of[now_stored]
+        ok, good = np.arange(len(counts)), local
+        failed = pc.starts_with(local[M_METHOD], "error on ")
+        if pc.any(failed).as_py():
+            ok = np.setdiff1d(ok, np.repeat(ok, counts)[failed.to_numpy()])
+            good = local.take(_runs(local_start[ok], counts[ok]))
+        kept = store.append([keys[rep_rows[j]] for j in ok], good,
+                            counts[ok])
+        new_slot = np.full(len(counts), -1, np.int64)
+        new_slot[ok[:kept]] = len(store.slot) - kept + np.arange(kept)
+        miss = rep_of >= 0
+        slot[miss] = new_slot[rep_of[miss]]
 
     hit = slot >= 0
     begin = np.empty(n, np.int64)
@@ -771,9 +779,10 @@ def process_addresses_df(df, gazetteer, parser, cfg: PipelineConfig,
 
 
 class CascadeGeocoder:
-    """Actor-pool callable for ``map_batches``: gazetteer + parser built
-    once per actor process (``get_gazetteer`` is process-cached), the full
-    cascade applied per batch (SURVEY.md §2.3)."""
+    """Batch callable for the flat-address cascade: gazetteer + parser
+    built once per instance (``get_gazetteer`` is process-cached), the
+    full cascade applied per batch (SURVEY.md §2.3).  The batch fns
+    below keep one instance per worker process."""
 
     def __init__(self, spec: GazetteerSpec | None = None,
                  cfg: PipelineConfig | None = None):
@@ -790,64 +799,50 @@ class CascadeGeocoder:
                                     self.cfg)
 
 
-# Per-worker-process component cache for the STATELESS-TASK execution
-# plan: Ray task workers are long-lived and reused across tasks and
-# dataset executions, so a module-level cache gives the same state
-# amortization as an actor pool WITHOUT fixed pool sizing, per-execution
-# actor spawn cost (process fork + imports + index build), or CPU
-# reservation — the scheduler stays elastic.  Actor pools remain the
-# right tool for heavy state (GPU models); for a ~30 MB deterministic
-# index, cached tasks measure strictly faster (bench.py history).
+# Per-worker-process component cache: Ray task workers are long-lived
+# and reused across tasks and dataset executions, so a module-level
+# cache amortizes the gazetteer/parser/memo state like an actor pool
+# WITHOUT fixed pool sizing, per-execution actor spawn cost (process
+# fork + imports + index build), or CPU reservation — the scheduler
+# stays elastic.  For a ~30 MB deterministic index, cached tasks
+# measured strictly faster than an actor pool (bench.py history).
 _PROCESS_COMPONENT_CACHE: dict = {}
 
 
-def _tune_worker_gc() -> None:
-    """Freeze the long-lived gazetteer/parser/memo objects out of the GC
-    scan set and raise the gen-0 threshold — the cascade allocates
-    millions of short-lived objects per batch, and cyclic-GC rescans of
-    the frozen index were measurable overhead at high worker counts.
-    SCOPED to the cascade: non-cascade batch fns restore default GC via
-    ``_workergc.default_gc`` when they take over a reused worker (see
-    _workergc docstring for the measured interference)."""
-    from ._workergc import cascade_gc
+def worker_component(key, build):
+    """The component cached under ``key`` in this worker process, made
+    by ``build()`` on first use.  Also enters cascade GC mode (a no-op
+    when already in it): the cascade allocates millions of short-lived
+    objects per batch, so the resident state is frozen out of the GC
+    scan set — see ``_workergc`` for the protocol."""
+    comp = _PROCESS_COMPONENT_CACHE.get(key)
+    if comp is None:
+        comp = _PROCESS_COMPONENT_CACHE[key] = build()
     cascade_gc()
+    return comp
+
+
+def _worker_cascade(cls, spec: GazetteerSpec | None,
+                    cfg: PipelineConfig | None):
+    """A no-argument getter of this worker process's ``cls(spec, cfg)``."""
+    spec = spec or GazetteerSpec()
+    cfg = cfg or PipelineConfig()
+    key = (cls.__name__, spec, repr(cfg))
+    return lambda: worker_component(key, lambda: cls(spec=spec, cfg=cfg))
 
 
 def span_cascade_fn(spec: GazetteerSpec | None = None,
                     cfg: PipelineConfig | None = None):
-    """Build a picklable stateless-task batch fn running the span cascade
-    with per-process component caching."""
-    spec = spec or GazetteerSpec()
-    cfg = cfg or PipelineConfig()
-    key = ("span_cascade", spec, repr(cfg))
-
-    def fn(batch: pa.Table) -> pa.Table:
-        worker = _PROCESS_COMPONENT_CACHE.get(key)
-        if worker is None:
-            worker = SpanCascadeGeocoder(spec=spec, cfg=cfg)
-            _PROCESS_COMPONENT_CACHE[key] = worker
-        _tune_worker_gc()  # no-op when already in cascade GC mode
-        return worker(batch)
-
-    return fn
+    """Picklable stateless-task batch fn for the document-span cascade."""
+    get_worker = _worker_cascade(SpanCascadeGeocoder, spec, cfg)
+    return lambda batch: get_worker()(batch)
 
 
 def address_cascade_fn(spec: GazetteerSpec | None = None,
                        cfg: PipelineConfig | None = None):
-    """Stateless-task batch fn for the flat-address cascade."""
-    spec = spec or GazetteerSpec()
-    cfg = cfg or PipelineConfig()
-    key = ("addr_cascade", spec, repr(cfg))
-
-    def fn(batch: pa.Table) -> pa.Table:
-        worker = _PROCESS_COMPONENT_CACHE.get(key)
-        if worker is None:
-            worker = CascadeGeocoder(spec=spec, cfg=cfg)
-            _PROCESS_COMPONENT_CACHE[key] = worker
-        _tune_worker_gc()  # no-op when already in cascade GC mode
-        return worker(batch)
-
-    return fn
+    """Picklable stateless-task batch fn for the flat-address cascade."""
+    get_worker = _worker_cascade(CascadeGeocoder, spec, cfg)
+    return lambda batch: get_worker()(batch)
 
 
 STEP_STATS_SCHEMA = pa.schema([
@@ -865,24 +860,17 @@ def step_stats_fn(spec: GazetteerSpec | None = None,
     reference's timestats/step-stats counters (base.py:275-301 reset per
     request; utils.py:678-686 todo/sent/match/reject) instead of the
     geocode rows.  Aggregate with ``pipeline.step_stats``."""
-    spec = spec or GazetteerSpec()
-    cfg = cfg or PipelineConfig()
-    key = ("addr_cascade", spec, repr(cfg))
+    get_worker = _worker_cascade(CascadeGeocoder, spec, cfg)
 
     def fn(batch: pa.Table) -> pa.Table:
-        worker = _PROCESS_COMPONENT_CACHE.get(key)
-        if worker is None:
-            worker = CascadeGeocoder(spec=spec, cfg=cfg)
-            _PROCESS_COMPONENT_CACHE[key] = worker
+        worker = get_worker()
         if spans:
             from .spans import explode_spans
-            df = explode_spans(batch).to_pandas()
-            df = df[df["is_address"]]
-        else:
-            df = batch.to_pandas()
+            batch = explode_spans(batch)
+            batch = batch.filter(batch["is_address"])
         stats: list[dict] = []
-        if df.shape[0]:
-            process_addresses_df(df[[ADDR_KEY] + INPUT_FIELDS],
+        if batch.num_rows:
+            process_addresses_df(batch.select([ADDR_KEY] + INPUT_FIELDS),
                                  worker.gazetteer, worker.parser, worker.cfg,
                                  stats_out=stats)
         return pa.Table.from_pylist(

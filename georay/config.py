@@ -178,6 +178,3 @@ class PipelineConfig:
     # spatial layer
     hex_res: int = 9
     quad_level: int = 18
-    # actor-pool sizing (per-stage; tuned by bench)
-    batch_size: int = 2048
-    concurrency: int = 8

@@ -1617,7 +1617,7 @@ def _geocode_documents_ds(sf_dir: str, with_tiles=True, with_knn=True):
     spec = spec_for(sf_dir)
     docs = ray.data.read_parquet(os.path.join(d, "documents.parquet"))
     return geocode_documents(docs, spec=spec, cfg=PipelineConfig(),
-                             concurrency=4, batch_size=1024,
+                             batch_size=1024,
                              with_tiles=with_tiles, with_knn_rescue=with_knn)
 
 
@@ -1658,8 +1658,7 @@ def q_geo_batch_geocode(sf_dir: str):
     ds = ray.data.read_parquet(
         os.path.join(d, "addresses.parquet"),
         columns=[ADDR_KEY, STREET, HOUSENBR, POSTCODE, CITY, COUNTRY])
-    out = geocode_addresses(ds, spec=spec_for(sf_dir), concurrency=4,
-                            batch_size=1024)
+    out = geocode_addresses(ds, spec=spec_for(sf_dir), batch_size=1024)
     snap = _write_snapshot(
         out.select_columns(_BATCH_OUT_COLS + ["post_code"] + _CMP_COLS),
         sf_dir, "batch_geocode_full")
@@ -1965,8 +1964,7 @@ def q_geo_batch_match_content(sf_dir: str):
     ds = ray.data.read_parquet(
         os.path.join(d, "addresses.parquet"),
         columns=[ADDR_KEY, STREET, HOUSENBR, POSTCODE, CITY, COUNTRY])
-    out = geocode_addresses(ds, spec=spec_for(sf_dir), concurrency=4,
-                            batch_size=1024)
+    out = geocode_addresses(ds, spec=spec_for(sf_dir), batch_size=1024)
     match = out.map_batches(
         lambda b: b.filter(pa.compute.equal(b["status"], "match")),
         batch_format="pyarrow").select_columns(
@@ -2844,6 +2842,34 @@ def q_rel_pivot(sf_dir: str):
                        num_partitions=1, group_fn=False)
 
 
+def _customer_spend(df: pd.DataFrame) -> pa.Table:
+    """One key partition of the customer (``_side`` 0: key, nation) +
+    order (``_side`` 1: key, cents) tagged union → per customer its
+    nation and summed order cents.  Customers without orders get 0 by
+    ``reindex`` — an int64 fill, so sums past 2^53 stay exact (a
+    ``map().fillna(0)`` detours through float64 and rounds them)."""
+    left = df.loc[df["_side"] == 0, ["key", "a"]]
+    spend = (df.loc[df["_side"] == 1].groupby("key", sort=False)["a"].sum()
+             .reindex(left["key"], fill_value=0))
+    return pa.table({
+        "c_custkey": pa.array(left["key"].to_numpy(np.int64)),
+        "nation": pa.array(left["a"].to_numpy(np.int64)),
+        "spend_c": pa.array(spend.to_numpy(np.int64))})
+
+
+def _left_join_orders(df: pd.DataFrame) -> pa.Table:
+    """Same partition shape as ``_customer_spend`` → per customer its
+    nation, order count and summed cents, 0-filled in int64."""
+    left = df.loc[df["_side"] == 0, ["key", "a"]]
+    agg = (df.loc[df["_side"] == 1].groupby("key", sort=False)["a"]
+           .agg(["size", "sum"]).reindex(left["key"], fill_value=0))
+    return pa.table({
+        "c_custkey": pa.array(left["key"].to_numpy(np.int64)),
+        "c_nationkey": pa.array(left["a"].to_numpy(np.int64)),
+        "n_orders": pa.array(agg["size"].to_numpy(np.int64)),
+        "rev_cents": pa.array(agg["sum"].to_numpy(np.int64))})
+
+
 def q_rel_above_group_avg(sf_dir: str):
     """Correlated-subquery analytic (customers whose total spend
     strictly exceeds their NATION's average customer spend) with the
@@ -2873,22 +2899,7 @@ def q_rel_above_group_avg(sf_dir: str):
             "_side": pa.array(np.ones(len(b), np.int8))}),
         batch_format="pyarrow")
 
-    def spend(df: pd.DataFrame) -> pa.Table:
-        left = df.loc[df["_side"] == 0, ["key", "a"]]
-        if left.empty:
-            return pa.table({"c_custkey": pa.array([], pa.int64()),
-                             "nation": pa.array([], pa.int64()),
-                             "spend_c": pa.array([], pa.int64())})
-        s = (df.loc[df["_side"] == 1].groupby("key", sort=False)["a"]
-             .sum())
-        v = left["key"].map(s).fillna(0)
-        return pa.table({
-            "c_custkey": pa.array(left["key"].to_numpy(np.int64)),
-            "nation": pa.array(left["a"].to_numpy(np.int64)),
-            "spend_c": pa.array(v.to_numpy(np.float64)
-                                .astype(np.int64))})
-
-    per_cust = grouped_map(cu.union(od), "key", spend,
+    per_cust = grouped_map(cu.union(od), "key", _customer_spend,
                            group_fn=False).materialize()
 
     # nation totals are ≤ |nations| rows — aggregate then broadcast
@@ -2989,29 +3000,7 @@ def q_rel_left_join(sf_dir: str):
             "_side": pa.array(np.ones(len(b), np.int8))}),
         batch_format="pyarrow")
 
-    out_schema = pa.schema([("c_custkey", pa.int64()),
-                            ("c_nationkey", pa.int64()),
-                            ("n_orders", pa.int64()),
-                            ("rev_cents", pa.int64())])
-
-    def per_partition(df: pd.DataFrame) -> pa.Table:
-        left = df.loc[df["_side"] == 0, ["key", "a"]]
-        if left.empty:
-            return out_schema.empty_table()
-        right = df.loc[df["_side"] == 1]
-        agg = (right.groupby("key", sort=False)["a"]
-               .agg(["size", "sum"]))
-        n = left["key"].map(agg["size"]).fillna(0)
-        s = left["key"].map(agg["sum"]).fillna(0)
-        return pa.table({
-            "c_custkey": pa.array(left["key"].to_numpy(np.int64)),
-            "c_nationkey": pa.array(left["a"].to_numpy(np.int64)),
-            "n_orders": pa.array(n.to_numpy(np.float64)
-                                 .astype(np.int64)),
-            "rev_cents": pa.array(s.to_numpy(np.float64)
-                                  .astype(np.int64))})
-
-    return grouped_map(cu.union(od), "key", per_partition,
+    return grouped_map(cu.union(od), "key", _left_join_orders,
                        group_fn=False)
 
 

@@ -4,12 +4,13 @@ Flagship flow (the reference's ``/batchGeocode`` re-expressed Ray-Data-
 first, §3.1):
 
     read_parquet(documents)                        # prune at the read
-      -> map_batches(explode_spans)                # Arrow explode, stateless
-      -> map_batches(SpanCascadeGeocoder, ...)     # actor pool, whole cascade
-      -> map_batches(TileAnnotator, ...)           # actor pool, cells + PIP
-      -> [map_batches(KnnRescuer)]                 # actor pool, unresolved
+      -> map_batches(whole)                        # ONE stateless task fn:
+           explode_spans                           #   Arrow explode
+           -> SpanCascadeGeocoder                  #   whole cascade
+           -> SpanAnnotator                        #   cells + PIP + kNN
       -> write_parquet / groupby rollups / reassemble
 
+Components are built once per worker process (``cascade.worker_component``).
 Everything is lazy/streaming; no stage materializes the full dataset.
 All builders take an existing Dataset or a path — they never call
 ``ray.init()``.
@@ -17,11 +18,10 @@ All builders take an existing Dataset or a path — they never call
 
 from __future__ import annotations
 
-from typing import Any
-
 import ray.data
 
-from .cascade import CascadeGeocoder, SpanCascadeGeocoder
+from .cascade import (address_cascade_fn, span_cascade_fn, step_stats_fn,
+                      worker_component)
 from .config import PipelineConfig
 from .corpus import make_documents
 from .gazetteer import GazetteerSpec
@@ -32,8 +32,7 @@ from .tiles import TileAnnotator
 
 class SpanAnnotator:
     """Fused light-annotation stage: tile assignment + PIP validation +
-    kNN rescue in one actor pool — one Arrow pass instead of two pools'
-    worth of scheduling and conversions."""
+    kNN rescue in one Arrow pass."""
 
     def __init__(self, spec=None, hex_res: int = 9, quad_level: int = 18,
                  with_tiles: bool = True, with_knn: bool = True):
@@ -61,21 +60,14 @@ def synth_documents_dataset(n_docs: int, spec: GazetteerSpec | None = None,
 
 def annotator_fn(spec=None, hex_res: int = 9, quad_level: int = 18,
                  with_tiles: bool = True, with_knn: bool = True):
-    """Picklable stateless-task batch fn for the fused annotator, with
-    per-worker-process component caching (see cascade.py rationale)."""
-    from .cascade import _PROCESS_COMPONENT_CACHE
+    """Picklable stateless-task batch fn for the fused annotator, built
+    once per worker process (``cascade.worker_component``)."""
     key = ("annotator", spec, hex_res, quad_level, with_tiles, with_knn)
 
     def fn(batch):
-        worker = _PROCESS_COMPONENT_CACHE.get(key)
-        if worker is None:
-            worker = SpanAnnotator(spec=spec, hex_res=hex_res,
-                                   quad_level=quad_level,
-                                   with_tiles=with_tiles, with_knn=with_knn)
-            _PROCESS_COMPONENT_CACHE[key] = worker
-            from .cascade import _tune_worker_gc
-            _tune_worker_gc()
-        return worker(batch)
+        return worker_component(key, lambda: SpanAnnotator(
+            spec=spec, hex_res=hex_res, quad_level=quad_level,
+            with_tiles=with_tiles, with_knn=with_knn))(batch)
 
     return fn
 
@@ -83,11 +75,9 @@ def annotator_fn(spec=None, hex_res: int = 9, quad_level: int = 18,
 def geocode_documents(docs: "ray.data.Dataset",
                       spec: GazetteerSpec | None = None,
                       cfg: PipelineConfig | None = None,
-                      concurrency: int | tuple | None = None,
                       batch_size: int = 1024,
                       with_knn_rescue: bool = True,
-                      with_tiles: bool = True,
-                      use_actors: bool = False) -> "ray.data.Dataset":
+                      with_tiles: bool = True) -> "ray.data.Dataset":
     """documents -> span-level geocode results (one row per span ×
     match/reject, not_address spans passed through).
 
@@ -96,38 +86,14 @@ def geocode_documents(docs: "ray.data.Dataset",
     must hold >=~1500 addresses to amortize it — 1024 docs ≈ 7000 spans
     ≈ 2000 addresses.
 
-    Default execution: stateless tasks with per-worker component caching
-    (elastic scheduling, no pool sizing, reused worker processes —
-    measured faster and better-scaling than a fixed actor pool for this
-    index size).  ``use_actors=True`` switches to the actor-pool plan
-    (``concurrency`` then sizes the pool) for heavy-state deployments.
-    """
-    from .cascade import span_cascade_fn
+    Execution: ONE stateless ``map_batches`` task fn per batch (explode
+    -> cascade -> annotate) with the components built once per worker
+    process — elastic scheduling, no pool sizing.  Even "fused" Ray Data
+    operators pay per-op rebatching (slice/concat of the 33-column Arrow
+    batch at every boundary), measured at ~60% of total CPU for this
+    chain; one fn doubles throughput."""
     spec = spec or GazetteerSpec()
     cfg = cfg or PipelineConfig()
-    if use_actors:
-        spans = docs.map_batches(explode_spans, batch_format="pyarrow")
-        geocoded = spans.map_batches(
-            SpanCascadeGeocoder, batch_format="pyarrow",
-            batch_size=batch_size, concurrency=concurrency or 8,
-            fn_constructor_kwargs={"spec": spec, "cfg": cfg})
-        base = concurrency if isinstance(concurrency, int) else 8
-        light = max(2, base // 3)
-        if with_tiles or with_knn_rescue:
-            geocoded = geocoded.map_batches(
-                SpanAnnotator, batch_format="pyarrow", batch_size=4096,
-                concurrency=light, num_cpus=0.5,
-                fn_constructor_kwargs={"spec": spec, "hex_res": cfg.hex_res,
-                                       "quad_level": cfg.quad_level,
-                                       "with_tiles": with_tiles,
-                                       "with_knn": with_knn_rescue})
-        return geocoded
-    # ONE map op: even "fused" Ray Data operators pay per-op rebatching
-    # (slice/concat of the 33-column Arrow batch at every boundary) —
-    # measured at ~60% of total CPU for this chain.  Collapsing
-    # explode -> cascade -> annotate into a single batch fn doubles
-    # throughput; per-document batch_size keeps the cascade's per-batch
-    # fixed cost amortized (1024 docs ≈ 7000 spans ≈ 2000 addresses).
     casc = span_cascade_fn(spec, cfg)
     ann = (annotator_fn(spec, cfg.hex_res, cfg.quad_level,
                         with_tiles, with_knn_rescue)
@@ -144,14 +110,11 @@ def geocode_documents(docs: "ray.data.Dataset",
 def geocode_addresses(addrs: "ray.data.Dataset",
                       spec: GazetteerSpec | None = None,
                       cfg: PipelineConfig | None = None,
-                      concurrency: int | tuple | None = None,
                       batch_size: int = 1024,
                       with_tiles: bool = True) -> "ray.data.Dataset":
     """Flat address batch -> cascade results (the /batchGeocode parity
-    path, nominatimwrapper.py:709-855).  Stateless-task plan with
-    per-worker component caching; ``concurrency`` is accepted for API
-    compatibility but the scheduler is elastic."""
-    from .cascade import address_cascade_fn
+    path, nominatimwrapper.py:709-855), with the same one-fn stateless
+    plan as ``geocode_documents``."""
     spec = spec or GazetteerSpec()
     cfg = cfg or PipelineConfig()
     casc = address_cascade_fn(spec, cfg)
@@ -178,7 +141,6 @@ def step_stats(ds: "ray.data.Dataset",
     (per-batch partials, one tiny groupby over #steps rows per block)."""
     from ray.data.aggregate import Sum
 
-    from .cascade import step_stats_fn
     partials = ds.map_batches(step_stats_fn(spec, cfg, spans=spans),
                               batch_format="pyarrow", batch_size=batch_size)
     return (partials.groupby(["step", "method"])
@@ -253,35 +215,3 @@ def pack_nested(ds: "ray.data.Dataset") -> "ray.data.Dataset":
         return pa.table(out)
 
     return ds.map_batches(fn, batch_format="pyarrow")
-
-
-def validate_addresses(payload: list[dict[str, Any]],
-                       mandatory=("addr_key",)) -> None:
-    """Driver-side pre-flight mirroring the REST layer's checks:
-    mandatory fields (nominatimwrapper.py:784-787) and duplicate-key
-    rejection (:789-790)."""
-    keys = [p.get("addr_key") for p in payload]
-    for f in mandatory:
-        missing = [i for i, p in enumerate(payload) if not p.get(f)]
-        if missing:
-            raise ValueError(f"mandatory field {f!r} missing in rows {missing[:5]}")
-    if len(set(keys)) != len(keys):
-        raise ValueError("duplicate addr_key values in payload")
-
-
-MODE_COLUMNS = {
-    # output projections per REST mode (nominatimwrapper.py:632-648, 820-837)
-    "coordinates": ["addr_key", "o_lat", "o_lon", "status"],
-    "short": ["addr_key", "status", "m_method", "m_place_rank", "m_place_id",
-              "o_lat", "o_lon", "o_street_name", "o_house_number",
-              "o_post_code", "o_post_name", "o_country_name"],
-    "long": None,  # all columns
-}
-
-
-def project_mode(ds: "ray.data.Dataset", mode: str) -> "ray.data.Dataset":
-    cols = MODE_COLUMNS.get(mode)
-    if cols is None:
-        return ds
-    have = [c for c in cols if c in ds.schema().names]
-    return ds.select_columns(have)

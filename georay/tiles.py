@@ -1,13 +1,13 @@
 """Spatial layer stages: tile assignment, point-in-polygon validation,
 and tile rollups (the north rule's net-new operators, SURVEY.md §2.5).
 
-- ``TileAnnotator`` — actor-pool ``map_batches`` stage: assigns the
+- ``TileAnnotator`` — ``map_batches`` batch callable: assigns the
   H3-style hex cell, the S2-style quadkey cross-check and the
   SQL-checkable square cell to every resolved coordinate, and validates
   the hit against the admin-boundary polygon of its postcode via the
   broadcast polygon index (the engine's ``check_result`` reverse-geocode
-  analogue).  Polygon index is built once per actor process from the
-  deterministic spec.
+  analogue).  Polygon index is built once per instance (one per worker
+  process via ``pipeline.annotator_fn``) from the deterministic spec.
 - ``rollup_counts`` — tile rollup as partial-aggregate-then-groupby:
   counts are combined inside ``map_batches`` first, so the shuffle moves
   at most (distinct cells × blocks) rows, not the full dataset — the

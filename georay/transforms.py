@@ -2,7 +2,7 @@
 
 Flat-column ports of /root/reference/transformers.py and the transformer
 dispatch in utils.py:692-776.  These run batch-locally inside the cascade
-actor (``georay.cascade``) — pandas in, pandas out, one batch at a time.
+(``georay.cascade``) — pandas in, pandas out, one batch at a time.
 
 - ``regex_transformer``      — transformers.py:328-364 (ordered rule list,
   case-sensitive, applied sequentially)

@@ -233,6 +233,49 @@ def test_json_dataset_streaming_source(street, tmp_path, ray_session):
     assert set(out["addr_key"]) == {"1"} and len(out) >= 1
 
 
+def test_json_dataset_matches_in_process_cascade(street, tmp_path,
+                                                 ray_session):
+    # JSONL through Ray gives the rows the in-process cascade gives for
+    # the same payload as an all-string Arrow table
+    import json as _json
+
+    import pyarrow as pa
+
+    from georay.api import json_dataset
+    from georay.cascade import process_addresses_df
+    from georay.config import PipelineConfig
+    from georay.parser import AddressParser
+    from georay.pipeline import geocode_addresses
+
+    payload = [
+        dict(_payload(street, "001"), house_number="04"),
+        dict(_payload(street, "002"), post_code="0" + street["post_code"]),
+        dict(_payload(street, "003"), house_number="", post_code=""),
+        dict(_payload(street, "004"), country_name="België"),
+        dict(_payload(street, "005"), street_name="Rue de l'Église 北"),
+        dict(_payload(street, 'a,"b"'),
+             street_name=street["name"] + ', "bis"'),
+        {k: "" for k in _payload(street)} | {"addr_key": "007"},
+    ]
+    path = tmp_path / "batch.jsonl"
+    with open(path, "w", encoding="utf-8") as f:
+        for p in payload:
+            f.write(_json.dumps(p, ensure_ascii=False) + "\n")
+    cols = ["addr_key", "status", "m_method", "m_place_id", "o_lat",
+            "o_lon"]
+
+    def rows(df):
+        return sorted(map(tuple, df[cols].astype(str).to_numpy().tolist()))
+
+    got = geocode_addresses(json_dataset(str(path)), SPEC, PipelineConfig(),
+                            with_tiles=False).to_pandas()
+    want = process_addresses_df(
+        pa.Table.from_pylist(payload), get_gazetteer(SPEC), AddressParser(),
+        PipelineConfig()).to_pandas()
+    assert {r[1] for r in rows(want)} >= {"match", "unmatched"}
+    assert rows(got) == rows(want)
+
+
 # ---------------------------------------------------------------------------
 # string contract across input surfaces
 

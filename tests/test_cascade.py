@@ -405,3 +405,86 @@ def test_span_path_identical_in_every_memo_state(world, monkeypatch):
         _tables_identical(geocode(batch, True), off)      # overflow, cold
         _tables_identical(geocode(batch, True), off)      # overflow, warm
         monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# step failures: labelled, counted, and never kept by the memo
+
+def _boom(fail_calls):
+    """A registered transformer that raises on its first ``fail_calls``
+    calls and passes rows through unchanged afterwards."""
+    calls = []
+
+    def fn(df, parser, gazetteer, cfg):
+        calls.append(len(df))
+        if len(calls) <= fail_calls:
+            raise RuntimeError("transient")
+        return df
+
+    return fn
+
+
+def _unresolvable(n):
+    return [_addr(f"u{i}", f"Zzz Qqq Nowhere {i}", "999", "9999",
+                  "Nulleville") for i in range(n)]
+
+
+def test_step_failure_labels_counts_and_stops_rows(world, monkeypatch):
+    from georay.transforms import TRANSFORMER_REGISTRY
+    spec, gaz, parser, _ = world
+    seen = []
+    monkeypatch.setitem(TRANSFORMER_REGISTRY, "boom", _boom(1 << 30))
+    monkeypatch.setitem(TRANSFORMER_REGISTRY, "spy",
+                        lambda df, *a: seen.append(len(df)) or df)
+    cfg = PipelineConfig(cascade=[["orig"], ["boom"], ["spy"]],
+                         with_cascade_memo=False)
+    st = gaz.places[gaz.places.place_rank == 26].iloc[0]
+    rows = [_addr("ok", st["name"], "4", st["post_code"],
+                  st["post_name"])] + _unresolvable(2)
+    stats = []
+    out = process_addresses_df(pd.DataFrame(rows), gaz, parser, cfg,
+                               stats_out=stats)
+    # the failed rows are labelled and reported as matches, as in the
+    # reference (utils.py:1255-1261)
+    by_key = out[out.status == "match"].set_index(ADDR_KEY)["m_method"]
+    assert by_key.to_dict() == {"ok": "orig",
+                                "u0": "error on boom: RuntimeError",
+                                "u1": "error on boom: RuntimeError"}
+    assert seen == []                 # later steps never see those rows
+    assert [s["method"] for s in stats] == ["orig", "boom"]
+    failed = stats[1]
+    assert failed["todo"] == 2
+    assert failed["sent"] == 0 and failed["match"] == failed["todo"]
+
+
+def test_memo_does_not_keep_step_failures(world, monkeypatch):
+    """A failure that would not happen again is served from the memo for
+    the rest of the worker's life unless the memo refuses to keep it."""
+    from georay.config import DEFAULT_CASCADE
+    from georay.transforms import TRANSFORMER_REGISTRY
+    spec, gaz, parser, _ = world
+    monkeypatch.setattr(gaz, "_cascade_memo", {}, raising=False)
+    monkeypatch.setitem(TRANSFORMER_REGISTRY, "boom", _boom(1))
+    steps = [list(s) for s in DEFAULT_CASCADE]
+    steps.insert(1, ["boom"])
+    st = gaz.places[gaz.places.place_rank == 26].iloc[0]
+    df = pd.DataFrame([_addr("ok", st["name"], "4", st["post_code"],
+                             st["post_name"])] + _unresolvable(2))
+    on = PipelineConfig(cascade=steps)
+    first = process_addresses_df(df, gaz, parser, on)
+    methods = first[first.status == "match"].set_index(ADDR_KEY)["m_method"]
+    assert methods.to_dict() == {"ok": "orig",
+                                 "u0": "error on boom: RuntimeError",
+                                 "u1": "error on boom: RuntimeError"}
+    store = gaz._cascade_memo[repr(on)]
+    assert len(store.slot) == 1                  # only the clean row kept
+    second = process_addresses_df(df, gaz, parser, on)
+    off = process_addresses_df(df, gaz, parser,
+                               PipelineConfig(cascade=steps,
+                                              with_cascade_memo=False))
+    assert not off["m_method"].str.startswith("error on").any()
+    pd.testing.assert_frame_equal(second, off)
+    # the recovered answers are kept and served from the memo from now on
+    assert len(store.slot) == 3
+    pd.testing.assert_frame_equal(process_addresses_df(df, gaz, parser, on),
+                                  off)

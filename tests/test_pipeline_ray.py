@@ -23,7 +23,7 @@ SPEC = GazetteerSpec()
 @pytest.fixture(scope="module")
 def span_results(ray_session):
     docs = synth_documents_dataset(120, spec=SPEC, parallelism=4)
-    return geocode_documents(docs, spec=SPEC, concurrency=2,
+    return geocode_documents(docs, spec=SPEC,
                              batch_size=256).materialize()
 
 
@@ -87,8 +87,8 @@ def test_geocode_addresses_parity_with_batchlocal(ray_session):
     addrs = make_addresses(80, spec=SPEC, seed=3).drop(
         columns=["truth_class", "truth_street_place_id"])
     ds = ray.data.from_pandas(addrs).repartition(4)
-    ray_out = geocode_addresses(ds, spec=SPEC, concurrency=2,
-                                batch_size=16, with_tiles=False).to_pandas()
+    ray_out = geocode_addresses(ds, spec=SPEC, batch_size=16,
+                                with_tiles=False).to_pandas()
     local_out = process_addresses_df(addrs, get_gazetteer(SPEC),
                                      AddressParser(), PipelineConfig())
     km = ray_out[ray_out.status == "match"].set_index("addr_key")
@@ -109,8 +109,8 @@ def test_checkpoint_resume(ray_session, tmp_path):
             calls.append(seed)
             docs = synth_documents_dataset(20, spec=SPEC, seed=seed,
                                            parallelism=2)
-            return geocode_documents(docs, spec=SPEC, concurrency=2,
-                                     batch_size=128, with_knn_rescue=False)
+            return geocode_documents(docs, spec=SPEC, batch_size=128,
+                                     with_knn_rescue=False)
         return _b
 
     shards = [("s0", build(0)), ("s1", build(1))]

@@ -108,3 +108,21 @@ def test_mode_per_key_matches_duckdb(ray_session):
                cast(n as bigint) as n
         from r where rn = 1"""))
     pd.testing.assert_frame_equal(eng, ora, check_dtype=False)
+
+
+def test_customer_sums_stay_exact_past_2_pow_53():
+    # customer 1's order cents sum to 2^53 + 1; customer 2 has no
+    # orders, which used to turn the partition's sums into float64
+    import numpy as np
+
+    from georay.entrylib import _customer_spend, _left_join_orders
+    big = 2 ** 53
+    df = pd.DataFrame({"key": np.array([1, 2, 1, 1], np.int64),
+                       "a": np.array([3, 4, big, 1], np.int64),
+                       "_side": np.array([0, 0, 1, 1], np.int8)})
+    spend = _customer_spend(df).to_pydict()
+    assert spend == {"c_custkey": [1, 2], "nation": [3, 4],
+                     "spend_c": [big + 1, 0]}
+    joined = _left_join_orders(df).to_pydict()
+    assert joined == {"c_custkey": [1, 2], "c_nationkey": [3, 4],
+                      "n_orders": [2, 0], "rev_cents": [big + 1, 0]}
