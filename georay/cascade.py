@@ -40,7 +40,7 @@ from .config import (ADDR_KEY, C_SIM_CITY, C_SIM_HOUSENBR, C_SIM_POSTCODE,
                      O_HOUSENBR, O_IN_HOUSENBR, O_LAT, O_LON, O_LPOST_HN,
                      O_LPOST_UNIT, O_OTHER, O_POSTCODE, O_STREET, POSTCODE,
                      STATUS, STREET, PipelineConfig)
-from .gazetteer import GazetteerSpec, get_gazetteer
+from .gazetteer import GazetteerSpec, concat_ranges, get_gazetteer
 from .geom import haversine_km
 from .parser import AddressParser
 from .transforms import apply_transformers, assemble_full_address
@@ -87,96 +87,122 @@ def _result_type(col: str) -> pa.DataType:
 RESULT_SCHEMA = pa.schema([(c, _result_type(c)) for c in RESULT_COLUMNS])
 
 
-def _coalesce_from_dict(addr: dict, keys: list[str]) -> str | None:
-    for k in keys:
-        v = addr.get(k)
-        if v is not None and v == v:
-            return v
-    return None
-
-
 _CAND_COLS = [M_TRANSFORMED, M_OSM_ORDER, "n_place_id", "n_place_rank",
               "n_lat", "n_lon", "n_display_name", "n_category",
               "n_namedetails", O_STREET, O_CITY, O_HOUSENBR, O_COUNTRY,
               O_POSTCODE, O_OTHER, O_DISPLAY, O_LAT, O_LON]
 
 
-def _shape_candidates(addr: str, results: list[dict],
-                      with_json: bool = False) -> list[dict]:
-    """Explode one geocode result list into candidate rows with the o_*
-    columns derived (osm_parse_and_split + add_addr_out_columns,
-    utils.py:443-579).  ``with_json`` attaches the raw geocoder record
-    as a JSON string (``candidate_json``) — the long-mode full-fidelity
-    tail the fixed o_* schema otherwise collapses (reference long mode
-    returns every Nominatim field, nominatimwrapper.py:632-648)."""
-    rows = []
-    for order, r in enumerate(results):
-        address = r.get("address", {})
-        nd = r.get("namedetails") or {}
-        # namedetails only kept for highways (utils.py:513-514)
-        namedetails = (" - ".join(nd.values())
-                       if r.get("category") == "highway" else "")
-        o_street = _coalesce_from_dict(address, _COLLAPSE_STREET)
-        o_city = _coalesce_from_dict(address, _COLLAPSE_CITY)
-        o_hn = address.get("house_number")
-        o_country = address.get("country")
-        o_pc = address.get("postcode")
-        picked = {o_street, o_city, o_hn, o_country, o_pc}
+def _coalesce(address: dict, keys: list[str]) -> str | None:
+    for k in keys:
+        v = address.get(k)
+        if v is not None and v == v:
+            return v
+    return None
+
+
+def _place_columns(gazetteer) -> dict:
+    """The candidate columns of every gazetteer place, derived once per
+    gazetteer from its Nominatim-shaped record (osm_parse_and_split +
+    add_addr_out_columns, utils.py:443-579).  A virtual building's
+    address is its street's plus the house number, which it picks as
+    o_housenumber, so it takes its street's other o_* columns (no
+    address value of a place is left over for o_other to hold); its
+    display name is ``bld_prefix`` + house number + ``bld_suffix``."""
+    cols = getattr(gazetteer, "_candidate_columns", None)
+    if cols is not None:
+        return cols
+    g = gazetteer.columns
+    out: dict[str, list] = {k: [] for k in (
+        O_STREET, O_CITY, O_COUNTRY, O_POSTCODE, O_OTHER, "n_namedetails",
+        "display", "bld_prefix", "bld_suffix")}
+    for row in range(len(g["place_id"])):
+        r = gazetteer.result(row, namedetails=True)
+        address = r["address"]
+        o_street = _coalesce(address, _COLLAPSE_STREET)
+        o_city = _coalesce(address, _COLLAPSE_CITY)
+        picked = {o_street, o_city, address.get("house_number"),
+                  address.get("country"), address.get("postcode")}
         other = sorted({v for k, v in address.items()
                         if k not in DROP_ADDR_ITEMS and v is not None
                         and v not in picked})
-        extra = {}
-        if with_json:
-            import json as _json
-            extra["candidate_json"] = _json.dumps(r, sort_keys=True,
-                                                  default=str)
-        rows.append({
-            **extra,
-            M_TRANSFORMED: addr, M_OSM_ORDER: order,
-            "n_place_id": int(r["place_id"]),
-            "n_place_rank": int(r["place_rank"]),
-            "n_lat": float(r["lat"]), "n_lon": float(r["lon"]),
-            "n_display_name": r.get("display_name", ""),
-            "n_category": r.get("category", ""),
-            "n_namedetails": namedetails,
-            O_STREET: o_street, O_CITY: o_city, O_HOUSENBR: o_hn,
-            O_COUNTRY: o_country, O_POSTCODE: o_pc,
-            O_OTHER: " - ".join(other),
-            O_DISPLAY: r.get("display_name", ""),
-            O_LAT: float(r["lat"]), O_LON: float(r["lon"]),
-        })
-    return rows
+        out[O_STREET].append(o_street)
+        out[O_CITY].append(o_city)
+        out[O_COUNTRY].append(address.get("country"))
+        out[O_POSTCODE].append(address.get("postcode"))
+        out[O_OTHER].append(" - ".join(other))
+        # namedetails only kept for highways (utils.py:513-514)
+        out["n_namedetails"].append(
+            " - ".join(r["namedetails"].values())
+            if r["category"] == "highway" else "")
+        out["display"].append(r["display_name"])
+        head, tail = g["disp_head"][row], g["disp_tail"][row]
+        out["bld_prefix"].append(head + ", " if head else "")
+        out["bld_suffix"].append(", " + tail if tail else "")
+    cols = {k: np.array(v, dtype=object) for k, v in out.items()}
+    gazetteer._candidate_columns = cols
+    return cols
 
 
-def _explode_candidates(uniq_addrs: list[str], gazetteer, cfg: PipelineConfig
-                        ) -> pd.DataFrame:
-    """Per unique transformed address: geocode the free-text string and
-    explode candidates.
-
-    The shaped rows are memoized per worker on the gazetteer instance:
-    real corpora are Zipf-skewed (the same street recurs across many
-    documents), so across batches most addresses are repeats — the
-    geocode + dict shaping then collapses to a dict hit.  Shared row
-    dicts are read-only downstream (DataFrame construction copies)."""
-    use_memo = cfg.with_worker_memos
-    memo = getattr(gazetteer, "_explode_memo", None)
-    if memo is None:
-        memo = gazetteer._explode_memo = {}
+def _explode_candidates(labels: list[str], parts: list[tuple], gazetteer,
+                        cfg: PipelineConfig) -> pd.DataFrame:
+    """Candidate rows of a batch's unique queries: ``labels[i]`` is the
+    transformed address of the component tuple ``parts[i]``.  One
+    ``Gazetteer.search_many`` call looks them all up; the rows are a
+    ``take`` from the per-place candidate columns, with virtual
+    buildings derived vectorized (id, coordinates, display name,
+    house number).  ``candidate_json`` (the raw geocoder record, the
+    long-mode full-fidelity tail the fixed o_* schema otherwise
+    collapses — reference long mode returns every Nominatim field,
+    nominatimwrapper.py:632-648) is built only when
+    ``cfg.with_candidate_json`` is on."""
     wj = cfg.with_candidate_json
-    key_tail = (cfg.max_results, cfg.check_results, wj)
-    rows = []
-    for addr in uniq_addrs:
-        hit = memo.get((addr, key_tail)) if use_memo else None
-        if hit is None:
-            results = gazetteer.search(addr, limit=cfg.max_results,
-                                       namedetails=cfg.check_results,
-                                       use_cache=use_memo)
-            hit = _shape_candidates(addr, results, with_json=wj)
-            if use_memo and len(memo) < (1 << 17):
-                memo[(addr, key_tail)] = hit
-        rows.extend(hit)
-    cols = (["candidate_json"] if wj else []) + _CAND_COLS
-    return pd.DataFrame(rows, columns=cols)
+    names = (["candidate_json"] if wj else []) + _CAND_COLS
+    q, row, hn = gazetteer.search_many(parts, limit=cfg.max_results)
+    if not len(q):
+        return pd.DataFrame(columns=names)
+    g, pcols = gazetteer.columns, _place_columns(gazetteer)
+    bld = hn >= 0
+    b_row, b_hn = row[bld], hn[bld]
+    hn_s = np.array([str(h) for h in b_hn.tolist()], dtype=object)
+    place_id = g["place_id"][row]
+    place_id[bld] = place_id[bld] * 1000 + b_hn
+    rank = g["place_rank"][row]
+    rank[bld] = 30
+    dlat = 0.00005 * (b_hn - g["hn_lo"][b_row])
+    lat, lon = g["lat"][row], g["lon"][row]
+    lat[bld] += dlat
+    lon[bld] += dlat
+    category = g["category"][row]
+    category[bld] = "building"
+    display = pcols["display"][row]
+    display[bld] = (pcols["bld_prefix"][b_row] + hn_s
+                    + pcols["bld_suffix"][b_row])
+    o_hn = np.full(len(q), None, dtype=object)
+    o_hn[bld] = hn_s
+    namedetails = (np.where(bld, "", pcols["n_namedetails"][row])
+                   if cfg.check_results
+                   else np.full(len(q), "", dtype=object))
+    data = {
+        M_TRANSFORMED: np.array(labels, dtype=object)[q],
+        M_OSM_ORDER: np.arange(len(q)) - np.searchsorted(q, q),
+        "n_place_id": place_id, "n_place_rank": rank,
+        "n_lat": lat, "n_lon": lon,
+        "n_display_name": display, "n_category": category,
+        "n_namedetails": namedetails,
+        O_STREET: pcols[O_STREET][row], O_CITY: pcols[O_CITY][row],
+        O_HOUSENBR: o_hn, O_COUNTRY: pcols[O_COUNTRY][row],
+        O_POSTCODE: pcols[O_POSTCODE][row], O_OTHER: pcols[O_OTHER][row],
+        O_DISPLAY: display.copy(), O_LAT: lat.copy(), O_LON: lon.copy(),
+    }
+    if wj:
+        import json
+        data["candidate_json"] = np.array([
+            json.dumps(gazetteer.result(r, h, cfg.check_results),
+                       sort_keys=True, default=str)
+            for r, h in zip(row.tolist(), hn.tolist())], dtype=object)
+    # every array is this call's own: no copy into the frame
+    return pd.DataFrame({k: data[k] for k in names}, copy=False)
 
 
 def _match_parent(results: pd.DataFrame, rejects: pd.DataFrame, gazetteer,
@@ -232,32 +258,6 @@ def _match_parent(results: pd.DataFrame, rejects: pd.DataFrame, gazetteer,
     return results, rejects
 
 
-def _structured_candidates(sent: pd.DataFrame, gazetteer,
-                           cfg: PipelineConfig) -> pd.DataFrame:
-    """osm_structured mode: query the geocoder with the five components
-    directly instead of the assembled free-text string (get_osm_struct
-    branch of process_osm, utils.py:352-375); dedup on the component
-    tuple, keyed back via the transformed-address string."""
-    uniq = sent.drop_duplicates(
-        subset=[M_TRANSFORMED]).loc[:, [M_TRANSFORMED, STREET, HOUSENBR,
-                                        POSTCODE, CITY, COUNTRY]]
-    frames = []
-    for row in uniq.itertuples(index=False):
-        results = gazetteer.search_structured(
-            street=getattr(row, STREET), housenumber=getattr(row, HOUSENBR),
-            postcode=getattr(row, POSTCODE), city=getattr(row, CITY),
-            country=getattr(row, COUNTRY), limit=cfg.max_results,
-            namedetails=cfg.check_results,
-            use_cache=cfg.with_worker_memos)
-        frames.append((getattr(row, M_TRANSFORMED), results))
-    rows = []
-    wj = cfg.with_candidate_json
-    for addr, results in frames:
-        rows.extend(_shape_candidates(addr, results, with_json=wj))
-    cols = (["candidate_json"] if wj else []) + _CAND_COLS
-    return pd.DataFrame(rows, columns=cols)
-
-
 def _process_osm(sent: pd.DataFrame, gazetteer, cfg: PipelineConfig,
                  check_results: bool) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Geocode + explode + validate-or-head(1) (utils.py:303-441)."""
@@ -265,10 +265,17 @@ def _process_osm(sent: pd.DataFrame, gazetteer, cfg: PipelineConfig,
     if sent.shape[0] == 0:
         return empty, empty
     if cfg.osm_structured:
-        cands = _structured_candidates(sent, gazetteer, cfg)
+        # get_osm_struct branch of process_osm (utils.py:352-375): the
+        # five components go to the geocoder as they are, deduplicated
+        # on the transformed-address string that keys them back
+        uniq = sent.drop_duplicates(subset=[M_TRANSFORMED])
+        labels = uniq[M_TRANSFORMED].tolist()
+        parts = list(zip(*(uniq[c].tolist() for c in INPUT_FIELDS)))
     else:
-        uniq = sent[M_TRANSFORMED].drop_duplicates().tolist()
-        cands = _explode_candidates(uniq, gazetteer, cfg)
+        labels = sent[M_TRANSFORMED].drop_duplicates().tolist()
+        parts = [gazetteer.parse_parts(q, use_cache=cfg.with_worker_memos)
+                 for q in labels]
+    cands = _explode_candidates(labels, parts, gazetteer, cfg)
     osm = sent.merge(cands, on=M_TRANSFORMED)
     if osm.shape[0] == 0:
         return empty, empty
@@ -642,13 +649,6 @@ def _run_representatives(reps: pa.Table, gazetteer, parser,
             np.bincount(rep, minlength=len(df)))
 
 
-def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Indices of the row runs ``[start, start + len)``, concatenated."""
-    ends = np.cumsum(lens)
-    return (np.arange(ends[-1] if len(ends) else 0)
-            + np.repeat(starts - ends + lens, lens))
-
-
 def _memo_results(inputs: pa.Table, store: _ResultStore, gazetteer, parser,
                   cfg: PipelineConfig) -> tuple[pa.Table, np.ndarray]:
     """Result rows of every input row through the memo → (rows grouped
@@ -678,7 +678,7 @@ def _memo_results(inputs: pa.Table, store: _ResultStore, gazetteer, parser,
         failed = pc.starts_with(local[M_METHOD], "error on ")
         if pc.any(failed).as_py():
             ok = np.setdiff1d(ok, np.repeat(ok, counts)[failed.to_numpy()])
-            good = local.take(_runs(local_start[ok], counts[ok]))
+            good = local.take(concat_ranges(local_start[ok], counts[ok]))
         kept = store.append([keys[rep_rows[j]] for j in ok], good,
                             counts[ok])
         new_slot = np.full(len(counts), -1, np.int64)
@@ -693,11 +693,11 @@ def _memo_results(inputs: pa.Table, store: _ResultStore, gazetteer, parser,
     if hit.any():
         s = slot[hit]
         begin[hit], lens[hit] = store.start[s], store.length[s]
-        parts.append(store.table.take(_runs(begin[hit], lens[hit])))
+        parts.append(store.table.take(concat_ranges(begin[hit], lens[hit])))
     if not hit.all():
         r = rep_of[~hit]
         begin[~hit], lens[~hit] = local_start[r], counts[r]
-        parts.append(local.take(_runs(begin[~hit], lens[~hit])))
+        parts.append(local.take(concat_ranges(begin[~hit], lens[~hit])))
     if len(parts) < 2:
         return (parts[0] if parts else _STORE_SCHEMA.empty_table()), lens
     # hits first, then batch-local rows: interleave back into row order

@@ -186,11 +186,12 @@ def sql_haversine_km(lat1: str, lon1: str, lat2: str, lon2: str) -> str:
 
 def sql_candidate_fields(gaz: str, pid: str = "s.m_place_id") -> str:
     """SELECT-fragment deriving a candidate's compare-time fields from the
-    raw gazetteer by place id (gazetteer.py:305-340 ``_to_result`` +
-    cascade.py:99-141 ``_shape_candidates``): rank>=26 -> road =
+    raw gazetteer by place id (``Gazetteer.result`` +
+    ``cascade._place_columns`` / ``_explode_candidates``): rank>=26 -> road =
     street_name; rank 30 (synthesized buildings, NOT rows of the parquet:
     place_id = street_id*1000 + house number, lat/lon = street + 5e-5 *
-    (hn - lo), gazetteer.py:272-290) resolved via the parent street row;
+    (hn - lo), as ``Gazetteer.result`` derives them) resolved via the
+    parent street row;
     namedetails only for highways, joined 'name - name:fr - name:nl';
     o_other is always '' in the synth world (address dict minus
     DROP_ADDR_ITEMS minus picked values is empty).

@@ -162,9 +162,10 @@ class PipelineConfig:
                                        # memo keyed on the 5 input
                                        # fields (cascade.py rationale)
     with_worker_memos: bool = True     # per-ADDRESS component memos
-                                       # (shaped-candidate / photon /
-                                       # gazetteer candidate+result /
-                                       # parser caches).  Off = every
+                                       # (photon candidates, free-text
+                                       # parse and parser caches; the
+                                       # gazetteer itself is batched
+                                       # and keeps none).  Off = every
                                        # row pays the full probe: used
                                        # by the cache-neutral scaling
                                        # ladder, where per-worker hit

@@ -3,26 +3,35 @@
 The reference delegates geocoding to three sidecar services (Nominatim,
 Photon, libpostal — /root/reference/base.py:74-272, docker-compose-full.yml).
 The sandbox has no network, so the engine's geocoder stage is an in-actor
-deterministic index (SURVEY.md §7): built once per actor process from a
-seeded spec, it answers
+deterministic index (SURVEY.md §7): built once per process from a seeded
+spec as a columnar place table (one numpy array per field) plus integer
+indexes over its streets.  Lookups are batched over a batch's unique
+queries and answer with int arrays of place rows:
 
-- ``search(free_text)``        — Nominatim ``search.php?q=`` analogue
-  (base.py:74-112): parse the free text, return up to ``limit`` candidate
-  records shaped like parsed Nominatim JSON (place_id, place_rank, lat,
-  lon, display_name, category, type, address{...}, namedetails).
-- ``search_structured(...)``   — ``get_osm_struct`` analogue (base.py:117-173).
-- ``details(place_id)``        — ``details.php`` analogue (base.py:178-207):
-  parent_place_id, names, category; errors -> {"category": "error",
-  "names": {}} like the reference's error contract.
-- ``fuzzy(q)``                 — Photon analogue (base.py:210-238): n-gram
-  index over street+city names returning GeoJSON-ish features in a stable
-  order (score desc, place_id asc — the ``photon_order`` tie-break).
+- ``search_many(parts, limit)`` — Nominatim ``search.php`` /
+  ``get_osm_struct`` analogue (base.py:74-173) over parsed component
+  tuples → ``(query, place_row, house_number or -1)``: exact street-name
+  hits, or the city for a street-less query; a clean, in-range, even
+  house number turns a street hit into a virtual building.
+- ``fuzzy_many(queries, limit)`` — Photon analogue (base.py:210-238):
+  one dense trigram vote per distinct key tuple, an integer-coded
+  location filter, then Jaro-Winkler verification of the top 80
+  (MF-Join's cheap-filter-then-verify) → ``(query, place_row)``.
+
+Candidates come back in a stable order: score desc, place_id asc (the
+``photon_order`` tie-break).  One-query views over the same two
+functions shape records like parsed Nominatim/Photon JSON for per-call
+callers: ``search(free_text)``, ``search_structured(...)`` and
+``fuzzy(q)``; ``details(place_id)`` is the ``details.php`` analogue
+(base.py:178-207: parent_place_id, names, category; errors ->
+{"category": "error", "names": {}} like the reference's error contract).
 
 World model: cities on a jittered grid (Zipf-skewed street counts — hot
 postal codes for the skew experiments), streets per city (French / Dutch /
 bilingual names), buildings VIRTUAL: each street exposes a deterministic
 set of house numbers; building place records (place_rank 30, parent =
-street) are derived on demand so the index stays O(streets) per actor.
+street, ``place_id = street_id*1000 + house_number``) are derived on
+demand so the index stays O(streets) per process.
 """
 
 from __future__ import annotations
@@ -72,6 +81,22 @@ class GazetteerSpec:
     base_streets: int = 30       # Zipf-scaled per city
     houses_per_street: int = 40  # virtual house numbers 1..N (even subset)
     seed: int = 42
+
+    def __post_init__(self):
+        # building ids pack the house number into three decimal digits
+        # (street_id*1000 + hn; details() and the SQL oracle unpack them
+        # with // 1000 and % 1000), so a larger one would collide with a
+        # building of the next street
+        if self.max_house_number > 999:
+            raise ValueError(
+                f"houses_per_street={self.houses_per_street} gives house "
+                f"number {self.max_house_number}; building ids hold at "
+                "most 999")
+
+    @property
+    def max_house_number(self) -> int:
+        """Largest virtual house number of every street (evens 2..N)."""
+        return 2 * max(2, self.houses_per_street // 2)
 
     def scaled(self, factor: float) -> "GazetteerSpec":
         return GazetteerSpec(
@@ -148,7 +173,7 @@ def build_gazetteer_tables(spec: GazetteerSpec) -> tuple[pd.DataFrame, pd.DataFr
                 road = nl                         # parent-rescue exercise
             street_id = pid_street + i * 10000 + j
             # deterministic virtual house numbers: evens up to cap
-            hn_max = 2 * max(2, spec.houses_per_street // 2)
+            hn_max = spec.max_house_number
             slat = float(lat[i] + rad[j] * np.sin(theta[j]))
             slon = float(lon[i] + rad[j] * np.cos(theta[j]) / np.cos(np.radians(lat[i])))
             rows.append(dict(place_id=street_id, parent_place_id=city_id,
@@ -171,6 +196,25 @@ _DIGITS_RE = re.compile(r"^([0-9]+)")
 def _trigrams(s: str) -> set[str]:
     s = f"  {s} "
     return {s[i:i + 3] for i in range(len(s) - 2)}
+
+
+def _street_keys(street: str) -> tuple[str, ...]:
+    """Normalized lookup keys of a street string: one per " - " or comma
+    separated part (bilingual names), empty parts dropped, repeats kept
+    (each repeat votes again in the fuzzy index)."""
+    keys = []
+    for part in re.sub(",", " - ", street or "").split(" - "):
+        k = normalize_street(part)
+        if k:
+            keys.append(k)
+    return tuple(keys)
+
+
+def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Indices of the ranges ``[start, start + len)``, concatenated."""
+    ends = np.cumsum(lens)
+    return (np.arange(ends[-1] if len(ends) else 0)
+            + np.repeat(starts - ends + lens, lens))
 
 
 @lru_cache(maxsize=1 << 17)
@@ -209,310 +253,440 @@ def parse_free_text(q: str) -> dict[str, str]:
             "city": city, "country": country}
 
 
+_PARTS = ("street", "housenumber", "postcode", "city", "country")
+
+
 class Gazetteer:
-    """The per-actor geocoder index over the synthetic places table."""
+    """The per-process geocoder index over the synthetic places table."""
+
+    _CLEAN_HN_RE = re.compile(r"^([0-9]+)[a-zA-Z]?$")
+    TOP_VOTES = 80        # fuzzy: streets verified per key tuple
+    MIN_SIMILARITY = 0.82  # fuzzy: Jaro-Winkler acceptance threshold
+    _VOTE_CELLS = 1 << 15  # fuzzy: dense vote cells per chunk of key tuples
 
     def __init__(self, spec: GazetteerSpec):
         self.spec = spec
         places, boundaries = build_gazetteer_tables(spec)
         self.places = places
         self.boundaries = boundaries
-        self.by_id: dict[int, dict] = {r["place_id"]: r for r in places.to_dict("records")}
 
-        # exact street index: (fingerprint(norm street variant), post_code) and
-        # (fp, norm city) -> [street place_id]
-        self.exact: dict[tuple[str, str], list[int]] = {}
-        self.city_by_pc: dict[str, int] = {}
-        self.city_by_name: dict[str, int] = {}
-        self.trigram: dict[str, list[int]] = {}
-        self.norm_variants: dict[int, tuple[str, ...]] = {}
-        self._cand_cache: dict[tuple, list] = {}
-        streets = places[places.place_rank == 26]
-        for r in streets.to_dict("records"):
-            pid = r["place_id"]
-            pc = r["post_code"]
-            cityn = normalize_street(r["post_name"])
-            variants = {r["name"], r["name_fr"], r["name_nl"], r["street_name"]}
+        # columnar place table: one array per field, indexed by place row
+        # (the row of ``places``); object arrays for the strings
+        cols = {c: places[c].to_numpy() for c in places.columns}
+        n = len(places)
+        rank = cols["place_rank"]
+        lo = np.zeros(n, np.int64)
+        hi = np.full(n, -1, np.int64)      # cities hold no house numbers
+        for r, span in enumerate(cols["house_numbers"].tolist()):
+            if span:
+                a, b = span.split("-")
+                lo[r], hi[r] = int(a), int(b)
+        cols["hn_lo"], cols["hn_hi"] = lo, hi
+        # display_name = ", ".join of the non-empty [head, house number,
+        # tail]: head is a street's name, tail "postcode city, Belgium"
+        cols["disp_head"] = np.array(
+            [s if k >= 26 else "" for s, k in zip(cols["street_name"], rank)],
+            dtype=object)
+        cols["disp_tail"] = np.array(
+            [", ".join(p for p in (f"{pc} {pn}", "Belgium") if p)
+             for pc, pn in zip(cols["post_code"], cols["post_name"])],
+            dtype=object)
+        self.columns: dict[str, np.ndarray] = cols
+        self._row_of: dict[int, int] = {
+            pid: r for r, pid in enumerate(cols["place_id"].tolist())}
+
+        # street index s: the street rows in place_id order, so sorting
+        # by s is sorting by place_id (the candidate tie-break)
+        streets = np.flatnonzero(rank == 26)
+        streets = streets[np.argsort(cols["place_id"][streets],
+                                     kind="stable")]
+        self._street_rows = streets
+        self._street_row_list = streets.tolist()
+        n_s = len(streets)
+        # exact index: (normalized street part, post_code) and (part,
+        # normalized post_name) -> street indexes
+        exact: dict[tuple[str, str], set[int]] = {}
+        # location codes: post_code and normalized post_name as ints
+        self._pc_code: dict[str, int] = {}
+        self._city_code: dict[str, int] = {}
+        self._s_pc = np.empty(n_s, np.int64)
+        self._s_city = np.empty(n_s, np.int64)
+        # fuzzy index: trigram postings (one per street part holding the
+        # trigram, repeats included) and each street's distinct
+        # normalized variants, both as CSR arrays
+        self._tri_id: dict[str, int] = {}
+        post_tri: list[int] = []
+        post_s: list[int] = []
+        var_id: dict[str, int] = {}
+        var_ids: list[int] = []
+        var_off = [0]
+        for s, r in enumerate(self._street_row_list):
+            pc = cols["post_code"][r]
+            cityn = normalize_street(cols["post_name"][r])
+            self._s_pc[s] = self._pc_code.setdefault(pc, len(self._pc_code))
+            self._s_city[s] = self._city_code.setdefault(
+                cityn, len(self._city_code))
             norms = set()
-            for v in variants:
-                if not v:
-                    continue
-                for part in re.sub(",", " - ", v).split(" - "):
-                    key = normalize_street(part)
-                    if not key:
-                        continue
+            for v in {cols["name"][r], cols["name_fr"][r], cols["name_nl"][r],
+                      cols["street_name"][r]}:
+                for key in _street_keys(v):
                     norms.add(key)
-                    self.exact.setdefault((key, pc), []).append(pid)
-                    self.exact.setdefault((key, cityn), []).append(pid)
+                    exact.setdefault((key, pc), set()).add(s)
+                    exact.setdefault((key, cityn), set()).add(s)
                     for t in _trigrams(key):
-                        self.trigram.setdefault(t, []).append(pid)
-            self.norm_variants[pid] = tuple(sorted(norms))
-        for lst in self.exact.values():
-            lst.sort()
-        # numpy posting lists: fuzzy voting is concatenate + unique
-        # instead of a python dict-count loop
-        self.trigram_np: dict[str, np.ndarray] = {
-            t: np.array(sorted(lst), dtype=np.int64)
-            for t, lst in self.trigram.items()}
-        self._result_cache: dict[tuple, dict] = {}
-        for r in places[places.place_rank == 16].to_dict("records"):
-            self.city_by_pc[r["post_code"]] = r["place_id"]
-            self.city_by_name[normalize_street(r["post_name"])] = r["place_id"]
+                        post_tri.append(self._tri_id.setdefault(
+                            t, len(self._tri_id)))
+                        post_s.append(s)
+            var_ids += [var_id.setdefault(k, len(var_id))
+                        for k in sorted(norms)]
+            var_off.append(len(var_ids))
+        self._exact = {k: tuple(sorted(v)) for k, v in exact.items()}
+        post_tri_a = np.array(post_tri, np.int64)
+        self._post_s = np.array(post_s, np.int64)[
+            np.argsort(post_tri_a, kind="stable")]
+        self._post_off = np.r_[0, np.cumsum(np.bincount(
+            post_tri_a, minlength=len(self._tri_id)))]
+        self._var_ids = np.array(var_ids, np.int64)
+        self._var_off = np.array(var_off, np.int64)
+        self._var_str = list(var_id)
 
-    # -- virtual buildings -------------------------------------------------
-    def _street_house_numbers(self, street: dict) -> tuple[int, int]:
-        lo, hi = street["house_numbers"].split("-")
-        return int(lo), int(hi)
+        self._city_by_pc: dict[str, int] = {}
+        self._city_by_name: dict[str, int] = {}
+        for r in np.flatnonzero(rank == 16).tolist():
+            self._city_by_pc[cols["post_code"][r]] = r
+            self._city_by_name[normalize_street(cols["post_name"][r])] = r
 
-    def _building_id(self, street_id: int, hn: int) -> int:
-        return street_id * 1000 + hn
-
-    _CLEAN_HN_RE = re.compile(r"^([0-9]+)[a-zA-Z]?$")
-
-    def building_for(self, street: dict, housenumber: str) -> dict | None:
-        # Only *clean* house numbers resolve to a building — "30 bt 2" does
-        # not (Nominatim behavior the low-place-rank retry exists for,
-        # utils.py:225-299): such queries fall back to the street result.
-        m = self._CLEAN_HN_RE.match((housenumber or "").strip())
-        if not m:
-            return None
-        hn = int(m.group(1))
-        lo, hi = self._street_house_numbers(street)
-        if hn < lo or hn > hi or hn % 2 != 0:   # evens only exist
-            return None
-        bid = self._building_id(street["place_id"], hn)
-        dlat = 0.00005 * (hn - lo)
-        return dict(street, place_id=bid,
-                    parent_place_id=street["place_id"],
-                    category="building", type="yes",
-                    lat=street["lat"] + dlat,
-                    lon=street["lon"] + dlat,
-                    place_rank=30, _house_number=str(hn))
-
-    # -- result shaping ----------------------------------------------------
-    def _to_result_cached(self, rec: dict, namedetails: bool,
-                          use_cache: bool = True) -> dict:
-        """Memoized result shaping keyed by place id (callers must not
-        mutate the returned dict — the cascade only reads it)."""
-        key = (rec["place_id"], namedetails)
-        hit = self._result_cache.get(key) if use_cache else None
-        if hit is None:
-            hit = self._to_result(rec, namedetails)
-            if use_cache and len(self._result_cache) < (1 << 17):
-                self._result_cache[key] = hit
-        return hit
-
-    def _to_result(self, rec: dict, namedetails: bool) -> dict:
-        """Shape a place record like a parsed Nominatim JSON item
-        (fields kept by base.py:95-108 + address sub-dict)."""
-        city_key = {"city": "city", "town": "town", "village": "village"}[rec["city_kind"]]
-        address = {"country": rec["country_name"], "country_code": "be",
-                   "region": "Belgium", city_key: rec["post_name"],
-                   "postcode": rec["post_code"]}
-        if rec["place_rank"] >= 26:
-            address["road"] = rec["street_name"]
-        if rec["place_rank"] == 30:
-            address["house_number"] = rec["_house_number"]
+    # -- record views ------------------------------------------------------
+    def _names(self, row: int) -> dict[str, str]:
+        c = self.columns
         names = {}
-        if rec["name"]:
-            names["name"] = rec["name"]
-        if rec["name_fr"]:
-            names["name:fr"] = rec["name_fr"]
-        if rec["name_nl"]:
-            names["name:nl"] = rec["name_nl"]
-        disp_parts = [rec["street_name"] if rec["place_rank"] >= 26 else "",
-                      rec.get("_house_number", ""),
-                      f"{rec['post_code']} {rec['post_name']}", "Belgium"]
+        for key, col in (("name", "name"), ("name:fr", "name_fr"),
+                         ("name:nl", "name_nl")):
+            if c[col][row]:
+                names[key] = c[col][row]
+        return names
+
+    def result(self, row: int, hn: int = -1,
+               namedetails: bool = False) -> dict:
+        """Place ``row`` (the virtual building ``hn`` of it when hn >= 0)
+        shaped like a parsed Nominatim JSON item (fields kept by
+        base.py:95-108 + address sub-dict)."""
+        c = self.columns
+        rank = int(c["place_rank"][row])
+        address = {"country": c["country_name"][row], "country_code": "be",
+                   "region": "Belgium",
+                   c["city_kind"][row]: c["post_name"][row],
+                   "postcode": c["post_code"][row]}
+        if rank >= 26:
+            address["road"] = c["street_name"][row]
+        place_id = int(c["place_id"][row])
+        lat, lon = float(c["lat"][row]), float(c["lon"][row])
+        category, kind = c["category"][row], c["type"][row]
+        hn_s = ""
+        if hn >= 0:
+            hn_s = address["house_number"] = str(hn)
+            place_id = place_id * 1000 + hn
+            dlat = 0.00005 * (hn - int(c["hn_lo"][row]))
+            lat, lon = lat + dlat, lon + dlat
+            rank, category, kind = 30, "building", "yes"
         out = {
-            "place_id": int(rec["place_id"]),
-            "lat": float(rec["lat"]),
-            "lon": float(rec["lon"]),
-            "place_rank": int(rec["place_rank"]),
-            "display_name": ", ".join(p for p in disp_parts if p),
-            "category": rec["category"],
-            "type": rec["type"],
+            "place_id": place_id,
+            "lat": lat,
+            "lon": lon,
+            "place_rank": rank,
+            "display_name": ", ".join(
+                p for p in (c["disp_head"][row], hn_s, c["disp_tail"][row])
+                if p),
+            "category": category,
+            "type": kind,
             "importance": 0.5,
             "address": address,
         }
         if namedetails:
-            out["namedetails"] = names
+            out["namedetails"] = self._names(row)
         return out
 
-    # -- lookups -----------------------------------------------------------
-    def _street_candidates(self, street: str, postcode: str, city: str,
-                           limit: int, fuzzy: bool = True,
-                           use_cache: bool = True
-                           ) -> list[tuple[float, int]]:
-        """(score, street place_id) candidates: exact name hits, plus — only
-        when ``fuzzy`` (the Photon path; Nominatim-style ``search`` is
-        strict about typos) — trigram + Jaro-Winkler candidates.  Results
-        are memoized per (street, pc, city) — Zipf-skewed corpora repeat
-        queries heavily."""
-        ck = (street, postcode, city, limit, fuzzy)
-        hit = self._cand_cache.get(ck) if use_cache else None
-        if hit is not None:
-            return hit
-        keys = []
-        for part in re.sub(",", " - ", street or "").split(" - "):
-            k = normalize_street(part)
-            if k:
-                keys.append(k)
-        pcn = (postcode or "").strip()
-        cityn = normalize_street(city or "")
-        out: dict[int, float] = {}
+    # -- batch lookups -----------------------------------------------------
+    def parse_parts(self, q: str, use_cache: bool = True
+                    ) -> tuple[str, str, str, str, str]:
+        """The (street, housenumber, postcode, city, country) component
+        tuple of a free-text query — the input of ``search_many``."""
+        p = (parse_free_text(q) if use_cache
+             else parse_free_text.__wrapped__(q))
+        return tuple(p[k] for k in _PARTS)
+
+    def _exact_hits(self, keys: tuple[str, ...], pcn: str,
+                    cityn: str) -> set[int]:
+        hit: set[int] = set()
         for k in keys:
             for loc in (pcn, cityn):
-                if not loc:
-                    continue
-                for pid in self.exact.get((k, loc), []):
-                    out[pid] = max(out.get(pid, 0.0), 1.0)
-        if not out and keys and fuzzy:
-            # fuzzy: vectorized trigram vote then jaro-winkler refine,
-            # city/pc filtered
-            posts = []
+                if loc:
+                    hit.update(self._exact.get((k, loc), ()))
+        return hit
+
+    def _house_number(self, housenumber: str) -> int:
+        # Only *clean* house numbers resolve to a building — "30 bt 2" does
+        # not (Nominatim behavior the low-place-rank retry exists for,
+        # utils.py:225-299): such queries fall back to the street result.
+        if not housenumber:
+            return -1
+        m = self._CLEAN_HN_RE.match(housenumber.strip())
+        if not m:
+            return -1
+        hn = int(m.group(1))
+        return hn if hn <= self.spec.max_house_number else -1
+
+    def search_many(self, parts, limit: int = 50
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nominatim-style lookup of parsed component tuples
+        (street, housenumber, postcode, city, country) →
+        ``(query, place_row, house_number or -1)`` int arrays, grouped by
+        query in input order, each query's candidates by place_id (every
+        exact hit scores 1.0).
+
+        A street query takes up to ``limit`` exact name hits in its
+        postcode or city (strict about typos); the house number turns a
+        hit into its virtual building when clean, in range and even.  A
+        street-less query takes the city of its postcode, else of its
+        city name (the ``get_osm_struct`` branch, base.py:117-173)."""
+        qs: list[int] = []
+        rows: list[int] = []
+        hns: list[int] = []
+        street_row = self._street_row_list
+        for i, (street, housenumber, postcode, city, _) in enumerate(parts):
+            street = (street or "").strip()
+            pcn = (postcode or "").strip()
+            if street:
+                hit = sorted(self._exact_hits(
+                    _street_keys(street), pcn,
+                    normalize_street(city or "")))[:limit]
+                if hit:
+                    hn = self._house_number(housenumber)
+                    qs += [i] * len(hit)
+                    rows += [street_row[s] for s in hit]
+                    hns += [hn] * len(hit)
+                continue
+            row = self._city_by_pc.get(pcn) if pcn else None
+            if row is None:
+                row = self._city_by_name.get(normalize_street(city or ""))
+            if row is not None:
+                qs.append(i)
+                rows.append(row)
+                hns.append(-1)
+        q = np.array(qs, np.int64)
+        row = np.array(rows, np.int64)
+        hn = np.array(hns, np.int64)
+        c = self.columns
+        ok = (hn >= c["hn_lo"][row]) & (hn <= c["hn_hi"][row]) & (hn % 2 == 0)
+        return q, row, np.where(ok, hn, -1)
+
+    def _top_votes(self, key_tuples: list[tuple[str, ...]]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Trigram vote of each key tuple over every street → the
+        ``TOP_VOTES`` streets with the most votes per tuple (ties by
+        place_id) as (tuple, street) pairs sorted by tuple then street.
+        A tuple votes once per trigram of each key, so a street gains one
+        vote per (key, trigram, street part holding it)."""
+        tri_u, tri = [], []
+        for u, keys in enumerate(key_tuples):
             for k in keys:
                 for t in _trigrams(k):
-                    p = self.trigram_np.get(t)
-                    if p is not None:
-                        posts.append(p)
-            if posts:
-                arr = np.concatenate(posts)
-                pids_u, counts = np.unique(arr, return_counts=True)
-                top = np.lexsort((pids_u, -counts))[:80]
-                cand = [(int(pids_u[i]), int(counts[i])) for i in top]
+                    j = self._tri_id.get(t)
+                    if j is not None:
+                        tri_u.append(u)
+                        tri.append(j)
+        tri_a = np.array(tri, np.int64)
+        tri_u_a = np.array(tri_u, np.int64)
+        n_s, k_top = len(self._street_rows), self.TOP_VOTES
+        step = max(1, self._VOTE_CELLS // max(n_s, 1))
+        out_u, out_s = [], []
+        for u0 in range(0, len(key_tuples), step):
+            m = min(step, len(key_tuples) - u0)
+            a, b = np.searchsorted(tri_u_a, [u0, u0 + m])
+            starts = self._post_off[tri_a[a:b]]
+            lens = self._post_off[tri_a[a:b] + 1] - starts
+            cell = (np.repeat(tri_u_a[a:b] - u0, lens) * n_s
+                    + self._post_s[concat_ranges(starts, lens)])
+            votes = np.bincount(cell, minlength=m * n_s).reshape(m, n_s)
+            if n_s <= k_top:
+                top = votes > 0
             else:
-                cand = []
-            for pid, _ in cand:
-                rec = self.by_id[pid]
-                if pcn and rec["post_code"] == pcn:
-                    loc_ok = True
-                elif cityn and normalize_street(rec["post_name"]) == cityn:
-                    loc_ok = True
-                else:
-                    loc_ok = not pcn and not cityn
-                if not loc_ok:
-                    continue
-                best = 0.0
-                for nv in self.norm_variants.get(pid, ()):
-                    for k in keys:
-                        jw = jaro_winkler(nv, k)
-                        if jw > best:
-                            best = jw
-                if best >= 0.82:
-                    out[pid] = max(out.get(pid, 0.0), best)
-        ranked = sorted(((s, pid) for pid, s in out.items()),
-                        key=lambda t: (-t[0], t[1]))[:limit]
-        if use_cache and len(self._cand_cache) < (1 << 16):
-            self._cand_cache[ck] = ranked
-        return ranked
+                # the k-th largest count per tuple; every count above it
+                # is in, the ties at it are taken in place_id order
+                kth = np.partition(votes, n_s - k_top, axis=1)[:, n_s - k_top]
+                kth = np.maximum(kth, 1)[:, None]
+                above = votes > kth
+                tie = votes == kth
+                room = k_top - above.sum(axis=1, keepdims=True)
+                top = above | (tie & (np.cumsum(tie, axis=1) <= room))
+            uu, ss = np.nonzero(top)
+            out_u.append(uu + u0)
+            out_s.append(ss)
+        return np.concatenate(out_u), np.concatenate(out_s)
 
+    def _score(self, best: np.ndarray, pair_u: np.ndarray,
+               pair_s: np.ndarray, pairs: np.ndarray,
+               key_tuples: list[tuple[str, ...]]) -> None:
+        """``best[p]`` = the highest Jaro-Winkler similarity between a
+        normalized variant of street ``pair_s[p]`` and a key of tuple
+        ``pair_u[p]``, for each p in ``pairs``.  Each distinct
+        (variant, key) pair is scored once, with the scalar kernel."""
+        if not len(pairs):
+            return
+        key_id: dict[str, int] = {}
+        flat = [key_id.setdefault(k, len(key_id))
+                for keys in key_tuples for k in keys]
+        n_key = np.array([len(keys) for keys in key_tuples], np.int64)
+        key_off = np.cumsum(n_key) - n_key
+        flat_a = np.array(flat, np.int64)
+        u, s = pair_u[pairs], pair_s[pairs]
+        var0 = self._var_off[s]
+        nv, nk = self._var_off[s + 1] - var0, n_key[u]
+        m = nv * nk
+        first = np.cumsum(m) - m
+        owner = np.repeat(np.arange(len(pairs)), m)
+        local = np.arange(int(m.sum())) - first[owner]
+        nk_o = nk[owner]
+        var = self._var_ids[var0[owner] + local // nk_o]
+        key = flat_a[key_off[u][owner] + local % nk_o]
+        n_keys = len(key_id)
+        code, inv = np.unique(var * n_keys + key, return_inverse=True)
+        keys = list(key_id)
+        var_str = self._var_str
+        sim = np.array([jaro_winkler(var_str[c // n_keys], keys[c % n_keys])
+                        for c in code.tolist()], np.float64)
+        best[pairs] = np.maximum.reduceat(sim[inv], first)
+
+    def fuzzy_many(self, queries, limit: int = 20, use_cache: bool = True
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Photon-style lookup of free-text queries → ``(query,
+        place_row)`` int arrays, grouped by query in input order, each
+        query's street candidates by score desc then place_id asc, at
+        most ``limit`` per query.
+
+        Per query: exact name hits in its postcode or city score 1.0.
+        Without one, its key tuple's ``TOP_VOTES`` trigram-voted streets
+        pass the location filter (same postcode or city name, or no
+        location given) and score their best Jaro-Winkler similarity,
+        kept from ``MIN_SIMILARITY`` up.  A query left without a
+        candidate retries without the location filter, on the same
+        vote.  ``use_cache`` picks the memoized free-text parser."""
+        exact_q: list[int] = []
+        exact_s: list[int] = []
+        tuple_of: dict[tuple[str, ...], int] = {}
+        fq, fu, fpc, fcity = [], [], [], []
+        for i, q in enumerate(queries if limit > 0 else ()):
+            street, _, postcode, city, _ = self.parse_parts(q, use_cache)
+            keys = _street_keys(street or q)
+            pcn = postcode.strip()
+            cityn = normalize_street(city)
+            hit = self._exact_hits(keys, pcn, cityn)
+            if hit:
+                exact_q += [i] * len(hit)
+                exact_s += sorted(hit)
+            elif keys:
+                fq.append(i)
+                fu.append(tuple_of.setdefault(keys, len(tuple_of)))
+                # -2: no location given, -1: one no street has
+                fpc.append(self._pc_code.get(pcn, -1) if pcn else -2)
+                fcity.append(self._city_code.get(cityn, -1) if cityn else -2)
+        q_all = [np.array(exact_q, np.int64)]
+        s_all = [np.array(exact_s, np.int64)]
+        score_all = [np.ones(len(exact_q))]
+        if fq:
+            key_tuples = list(tuple_of)
+            pair_u, pair_s = self._top_votes(key_tuples)
+            tuples = np.arange(len(key_tuples))
+            u_start = np.searchsorted(pair_u, tuples)
+            u_len = np.searchsorted(pair_u, tuples, side="right") - u_start
+            fu_a = np.array(fu, np.int64)
+            pair = concat_ranges(u_start[fu_a], u_len[fu_a])
+            owner = np.repeat(np.arange(len(fq)), u_len[fu_a])
+            s = pair_s[pair]
+            qpc = np.array(fpc, np.int64)[owner]
+            qcity = np.array(fcity, np.int64)[owner]
+            located = (((qpc >= 0) & (self._s_pc[s] == qpc))
+                       | ((qcity >= 0) & (self._s_city[s] == qcity))
+                       | ((qpc == -2) & (qcity == -2)))
+            best = np.full(len(pair_u), np.nan)
+            self._score(best, pair_u, pair_s, np.unique(pair[located]),
+                        key_tuples)
+            first = located & (best[pair] >= self.MIN_SIMILARITY)
+            found = np.bincount(owner[first], minlength=len(fq)) > 0
+            retry = ~found[owner]
+            self._score(best, pair_u, pair_s,
+                        np.unique(pair[retry & np.isnan(best[pair])]),
+                        key_tuples)
+            keep = np.where(retry, best[pair] >= self.MIN_SIMILARITY, first)
+            q_all.append(np.array(fq, np.int64)[owner[keep]])
+            s_all.append(s[keep])
+            score_all.append(best[pair[keep]])
+        q, s, score = (np.concatenate(x) for x in (q_all, s_all, score_all))
+        order = np.lexsort((s, -score, q))
+        q, s = q[order], s[order]
+        keep = np.arange(len(q)) - np.searchsorted(q, q) < limit
+        return q[keep], self._street_rows[s[keep]]
+
+    # -- one-query views ---------------------------------------------------
     def search_structured(self, street: str = "", housenumber: str = "",
                           postcode: str = "", city: str = "", country: str = "",
-                          limit: int = 50, namedetails: bool = False,
-                          use_cache: bool = True) -> list[dict]:
-        """Candidate list, deterministic order (score desc, place_id asc) —
-        the engine's ``get_osm_struct`` (base.py:117-173)."""
-        street = (street or "").strip()
-        results: list[dict] = []
-        if street:
-            cands = self._street_candidates(street, postcode, city, limit,
-                                            fuzzy=False, use_cache=use_cache)
-            for score, pid in cands:
-                rec = self.by_id[pid]
-                b = self.building_for(rec, housenumber) if housenumber else None
-                if b is not None:
-                    results.append(self._to_result_cached(
-                        b, namedetails, use_cache=use_cache))
-                else:
-                    results.append(self._to_result_cached(
-                        rec, namedetails, use_cache=use_cache))
-                if len(results) >= limit:
-                    break
-        else:
-            # street-less: city/postcode-level match
-            pid = None
-            pcn = (postcode or "").strip()
-            if pcn and pcn in self.city_by_pc:
-                pid = self.city_by_pc[pcn]
-            else:
-                cityn = normalize_street(city or "")
-                if cityn and cityn in self.city_by_name:
-                    pid = self.city_by_name[cityn]
-            if pid is not None:
-                results.append(self._to_result_cached(
-                    self.by_id[pid], namedetails, use_cache=use_cache))
-        return results
-
-    def parse_free_text(self, q: str, use_cache: bool = True) -> dict[str, str]:
-        if not use_cache:
-            return parse_free_text.__wrapped__(q)
-        return parse_free_text(q)
+                          limit: int = 50, namedetails: bool = False
+                          ) -> list[dict]:
+        """Candidate records of one component query, in ``search_many``
+        order — the engine's ``get_osm_struct`` (base.py:117-173)."""
+        _, rows, hns = self.search_many(
+            [(street, housenumber, postcode, city, country)], limit)
+        return [self.result(r, h, namedetails)
+                for r, h in zip(rows.tolist(), hns.tolist())]
 
     def search(self, q: str, limit: int = 50, namedetails: bool = False,
                use_cache: bool = True) -> list[dict]:
-        parts = self.parse_free_text(q, use_cache=use_cache)
-        return self.search_structured(parts["street"], parts["housenumber"],
-                                      parts["postcode"], parts["city"],
-                                      parts["country"], limit=limit,
-                                      namedetails=namedetails,
-                                      use_cache=use_cache)
+        """Candidate records of one free-text query (``search.php?q=``,
+        base.py:74-112)."""
+        return self.search_structured(*self.parse_parts(q, use_cache),
+                                      limit=limit, namedetails=namedetails)
+
+    def fuzzy(self, q: str, limit: int = 20,
+              use_cache: bool = True) -> dict:
+        """Photon analogue: GeoJSON-ish FeatureCollection with properties
+        street/postcode/city/country/name, in ``fuzzy_many`` order."""
+        _, rows = self.fuzzy_many([q], limit, use_cache)
+        c = self.columns
+        features = [{
+            "type": "Feature",
+            "properties": {
+                "name": c["name"][r],
+                "street": c["street_name"][r],
+                "postcode": c["post_code"][r],
+                "city": c["post_name"][r],
+                "country": c["country_name"][r],
+                "osm_id": int(c["place_id"][r]),
+                "type": "street",
+            },
+            "geometry": {"type": "Point",
+                         "coordinates": [float(c["lon"][r]),
+                                         float(c["lat"][r])]},
+        } for r in rows.tolist()]
+        return {"type": "FeatureCollection", "features": features}
 
     def details(self, place_id: int) -> dict:
         """Parent/name details; unknown id -> error record
         (base.py:178-207 error contract)."""
         place_id = int(place_id)
-        rec = self.by_id.get(place_id)
-        if rec is None and place_id > 1000000:
-            street = self.by_id.get(place_id // 1000)
-            if street is not None:
-                hn = place_id % 1000
-                b = self.building_for(street, str(hn))
-                if b is not None and b["place_id"] == place_id:
-                    rec = b
-        if rec is None:
-            return {"category": "error", "names": {}}
-        names = {}
-        if rec["name"]:
-            names["name"] = rec["name"]
-        if rec["name_fr"]:
-            names["name:fr"] = rec["name_fr"]
-        if rec["name_nl"]:
-            names["name:nl"] = rec["name_nl"]
-        return {"place_id": int(rec["place_id"]),
-                "parent_place_id": int(rec["parent_place_id"]),
-                "category": rec["category"], "names": names}
-
-    def fuzzy(self, q: str, limit: int = 20,
-              use_cache: bool = True) -> dict:
-        """Photon analogue: GeoJSON-ish FeatureCollection with properties
-        street/postcode/city/country/name, stable candidate order."""
-        parts = self.parse_free_text(q, use_cache=use_cache)
-        street = parts["street"] or q
-        cands = self._street_candidates(street, parts["postcode"],
-                                        parts["city"], limit,
-                                        use_cache=use_cache)
-        if not cands:
-            # retry without location filter
-            cands = self._street_candidates(street, "", "", limit,
-                                            use_cache=use_cache)
-        features = []
-        for score, pid in cands:
-            rec = self.by_id[pid]
-            features.append({
-                "type": "Feature",
-                "properties": {
-                    "name": rec["name"],
-                    "street": rec["street_name"],
-                    "postcode": rec["post_code"],
-                    "city": rec["post_name"],
-                    "country": rec["country_name"],
-                    "osm_id": int(rec["place_id"]),
-                    "type": "street",
-                },
-                "geometry": {"type": "Point",
-                             "coordinates": [rec["lon"], rec["lat"]]},
-            })
-        return {"type": "FeatureCollection", "features": features}
+        c = self.columns
+        row = self._row_of.get(place_id)
+        if row is not None:
+            return {"place_id": place_id,
+                    "parent_place_id": int(c["parent_place_id"][row]),
+                    "category": c["category"][row],
+                    "names": self._names(row)}
+        row = self._row_of.get(place_id // 1000)
+        hn = place_id % 1000
+        if (row is not None and c["hn_lo"][row] <= hn <= c["hn_hi"][row]
+                and hn % 2 == 0):
+            return {"place_id": place_id, "parent_place_id": place_id // 1000,
+                    "category": "building", "names": self._names(row)}
+        return {"category": "error", "names": {}}
 
 
 @lru_cache(maxsize=4)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 import pandas as pd
@@ -139,32 +140,35 @@ def photon_transformer(df: pd.DataFrame, gazetteer, check_results: bool,
                        + addr[POSTCODE].fillna("").astype(str) + " "
                        + addr[CITY].fillna("").astype(str) + ", "
                        + addr[COUNTRY].fillna("").astype(str))
-    uniq = addr[["ph_full"]].drop_duplicates()
-    # per-worker memo of the fuzzy feature rows: the query string set is
-    # Zipf-skewed across batches, so steady-state photon cost is a dict
-    # hit per unique address instead of an index probe + feature shaping
+    uniq = addr["ph_full"].drop_duplicates().tolist()
+    # per-worker memo of each query's candidate place rows: the query
+    # string set is Zipf-skewed across batches, so steady-state photon
+    # cost is a dict hit per unique address; the misses go to the index
+    # in one batched lookup
     memo = getattr(gazetteer, "_photon_memo", None)
     if memo is None:
         memo = gazetteer._photon_memo = {}
-    rows = []
-    for q in uniq["ph_full"]:
-        hit = memo.get(q) if use_memo else None
-        if hit is None:
-            feats = gazetteer.fuzzy(q, use_cache=use_memo).get("features", [])
-            hit = []
-            for order, f in enumerate(feats):
-                p = f.get("properties", {})
-                street = p.get("street") or p.get("name") or ""
-                hit.append((q, street, p.get("postcode", ""),
-                            p.get("city", ""), p.get("country", ""), order))
-            if use_memo and len(memo) < (1 << 17):
-                memo[q] = hit
-        rows.extend(hit)
-    if not rows:
+    todo = [q for q in uniq if q not in memo] if use_memo else uniq
+    qi, rows = gazetteer.fuzzy_many(todo, use_cache=use_memo)
+    bounds = np.searchsorted(qi, np.arange(len(todo) + 1)).tolist()
+    found = {q: rows[a:b].copy()
+             for q, a, b in zip(todo, bounds, bounds[1:])}
+    if use_memo:
+        memo.update(islice(found.items(), max(0, (1 << 17) - len(memo))))
+    per_q = [found[q] if q in found else memo[q] for q in uniq]
+    counts = np.array([len(r) for r in per_q], np.int64)
+    if not counts.sum():
         return pd.DataFrame(columns=[ADDR_KEY] + INPUT_FIELDS)
-    feats_df = pd.DataFrame(rows, columns=["ph_full", "ph_street", "ph_pc",
-                                           "ph_city", "ph_country",
-                                           "photon_order"])
+    rows = np.concatenate(per_q)
+    g = gazetteer.columns
+    street, name = g["street_name"][rows], g["name"][rows]
+    feats_df = pd.DataFrame({
+        "ph_full": np.repeat(np.array(uniq, dtype=object), counts),
+        "ph_street": np.where(street.astype(bool), street, name),
+        "ph_pc": g["post_code"][rows], "ph_city": g["post_name"][rows],
+        "ph_country": g["country_name"][rows],
+        "photon_order": np.arange(len(rows)) - np.repeat(
+            np.cumsum(counts) - counts, counts)}, copy=False)
     merged = addr.merge(feats_df, on="ph_full")
     if merged.shape[0] == 0:
         return pd.DataFrame(columns=[ADDR_KEY] + INPUT_FIELDS)

@@ -260,8 +260,7 @@ def test_cascade_memo_duplicate_addr_key_different_tuples():
 def test_worker_memos_off_identical():
     """with_worker_memos=False (cache-neutral scaling mode) must yield
     byte-identical cascade output: every per-address component memo
-    (shaped-candidate explode, photon features, gazetteer candidate /
-    result caches, parser memo, free-text parse cache) is a pure
+    (photon candidates, parser memo, free-text parse cache) is a pure
     memoization, so disabling them changes cost only."""
     import pandas as pd
 
