@@ -13,6 +13,16 @@ Step internals mirror ``transform_and_process`` (utils.py:589-688),
 ``retry_with_low_place_rank`` (utils.py:225-299), and ``match_parent``
 (check_result_utils.py:560-644).
 
+The cascade runs once per representative (a distinct five-field tuple
+of the batch's memo misses) and carries representatives through the
+steps as int64 index arrays, never as frames: a step sees the indices
+still unmatched, its candidate rows are the sent rows' indices repeated
+over their candidates with columns taken from the per-place candidate
+table, and the ``RESULT_SCHEMA`` table is built once, typed, at the end
+(probe-then-gather over index arrays, as the memo hit path does).
+pandas appears only at ``process_addresses_df``'s pandas edge and in
+the adapter of a registered transformer.
+
 Deviation from the reference (documented): ``output.other`` joins the
 leftover address values in SORTED order — the reference joins a Python
 set (utils.py:568-574), whose order is hash-randomized across processes;
@@ -22,6 +32,8 @@ splits on " - " and takes a max, so scores are unaffected.
 
 from __future__ import annotations
 
+import re
+import time
 from itertools import repeat
 
 import numpy as np
@@ -34,7 +46,9 @@ from .compare import _str_values, keep_bests
 from .config import (ADDR_KEY, C_SIM_CITY, C_SIM_HOUSENBR, C_SIM_POSTCODE,
                      C_SIM_STREET, C_SIM_STREET_WHICH, CITY, CMP_FIELDS,
                      COUNTRY, DROP_ADDR_ITEMS, HOUSENBR, INPUT_FIELDS,
-                     M_CLEANSED_HN, M_DIST_TO_MATCH, M_METHOD, M_OSM_ORDER,
+                     M_CLEANSED_HN, M_CMP_CITY, M_CMP_HOUSENBR,
+                     M_CMP_POSTCODE, M_CMP_STREET, M_DIST_TO_MATCH,
+                     M_METHOD, M_OSM_ORDER,
                      M_PLACE_ID, M_PLACE_RANK, M_REJECT_REASON,
                      M_TRANSFORMED, O_CITY, O_COUNTRY, O_DISPLAY,
                      O_HOUSENBR, O_IN_HOUSENBR, O_LAT, O_LON, O_LPOST_HN,
@@ -43,7 +57,8 @@ from .config import (ADDR_KEY, C_SIM_CITY, C_SIM_HOUSENBR, C_SIM_POSTCODE,
 from .gazetteer import GazetteerSpec, concat_ranges, get_gazetteer
 from .geom import haversine_km
 from .parser import AddressParser
-from .transforms import apply_transformers, assemble_full_address
+from .transforms import (AddressRows, apply_transformers,
+                         assemble_full_address, factorize, first_per_group)
 
 _COLLAPSE_STREET = ["road", "pedestrian", "footway", "cycleway", "path",
                     "address27", "construction", "hamlet", "park", "square"]
@@ -65,25 +80,23 @@ RESULT_COLUMNS: dict[str, object] = {
     "candidate_json": "",
 }
 
-_FLOAT_COLS = {M_DIST_TO_MATCH, O_LAT, O_LON, C_SIM_STREET, C_SIM_HOUSENBR,
-               C_SIM_POSTCODE, C_SIM_CITY}
-_INT_COLS = {M_OSM_ORDER, M_PLACE_RANK, M_PLACE_ID}
-_BOOL_COLS = {M_CLEANSED_HN}
+# numpy dtype of the non-string result columns
+_NP_TYPE = {**dict.fromkeys([M_DIST_TO_MATCH, O_LAT, O_LON, C_SIM_STREET,
+                             C_SIM_HOUSENBR, C_SIM_POSTCODE, C_SIM_CITY],
+                            np.float64),
+            **dict.fromkeys([M_OSM_ORDER, M_PLACE_RANK, M_PLACE_ID],
+                            np.int64),
+            M_CLEANSED_HN: np.bool_}
 
 
 def _result_type(col: str) -> pa.DataType:
-    if col in _FLOAT_COLS:
-        return pa.float64()
-    if col in _INT_COLS:
-        return pa.int64()
-    if col in _BOOL_COLS:
-        return pa.bool_()
-    return pa.string()
+    return (pa.from_numpy_dtype(_NP_TYPE[col]) if col in _NP_TYPE
+            else pa.string())
 
 
-# canonical Arrow schema of the finalized cascade frame (RESULT_COLUMNS
-# order) — conversions to/from pandas at the batch boundary go through
-# this instead of per-column type inference
+# canonical Arrow schema of the cascade's result rows (RESULT_COLUMNS
+# order): the result table is built in it, and the pandas edge converts
+# through it instead of per-column type inference
 RESULT_SCHEMA = pa.schema([(c, _result_type(c)) for c in RESULT_COLUMNS])
 
 
@@ -145,13 +158,14 @@ def _place_columns(gazetteer) -> dict:
 
 
 def _explode_candidates(labels: list[str], parts: list[tuple], gazetteer,
-                        cfg: PipelineConfig) -> pd.DataFrame:
+                        cfg: PipelineConfig) -> tuple[np.ndarray, dict]:
     """Candidate rows of a batch's unique queries: ``labels[i]`` is the
     transformed address of the component tuple ``parts[i]``.  One
     ``Gazetteer.search_many`` call looks them all up; the rows are a
     ``take`` from the per-place candidate columns, with virtual
     buildings derived vectorized (id, coordinates, display name,
-    house number).  ``candidate_json`` (the raw geocoder record, the
+    house number).  Returns (query index of each row, candidate columns
+    by name).  ``candidate_json`` (the raw geocoder record, the
     long-mode full-fidelity tail the fixed o_* schema otherwise
     collapses — reference long mode returns every Nominatim field,
     nominatimwrapper.py:632-648) is built only when
@@ -159,8 +173,6 @@ def _explode_candidates(labels: list[str], parts: list[tuple], gazetteer,
     wj = cfg.with_candidate_json
     names = (["candidate_json"] if wj else []) + _CAND_COLS
     q, row, hn = gazetteer.search_many(parts, limit=cfg.max_results)
-    if not len(q):
-        return pd.DataFrame(columns=names)
     g, pcols = gazetteer.columns, _place_columns(gazetteer)
     bld = hn >= 0
     b_row, b_hn = row[bld], hn[bld]
@@ -193,7 +205,7 @@ def _explode_candidates(labels: list[str], parts: list[tuple], gazetteer,
         O_STREET: pcols[O_STREET][row], O_CITY: pcols[O_CITY][row],
         O_HOUSENBR: o_hn, O_COUNTRY: pcols[O_COUNTRY][row],
         O_POSTCODE: pcols[O_POSTCODE][row], O_OTHER: pcols[O_OTHER][row],
-        O_DISPLAY: display.copy(), O_LAT: lat.copy(), O_LON: lon.copy(),
+        O_DISPLAY: display, O_LAT: lat, O_LON: lon,
     }
     if wj:
         import json
@@ -201,361 +213,331 @@ def _explode_candidates(labels: list[str], parts: list[tuple], gazetteer,
             json.dumps(gazetteer.result(r, h, cfg.check_results),
                        sort_keys=True, default=str)
             for r, h in zip(row.tolist(), hn.tolist())], dtype=object)
-    # every array is this call's own: no copy into the frame
-    return pd.DataFrame({k: data[k] for k in names}, copy=False)
+    return q, {k: data[k] for k in names}
 
 
-def _match_parent(results: pd.DataFrame, rejects: pd.DataFrame, gazetteer,
-                  cfg: PipelineConfig) -> tuple[pd.DataFrame, pd.DataFrame]:
+# A step's candidate rows are a dict of equal-length column arrays: the
+# representative index under ``_REP``, the rest under their result
+# column names (plus ``n_namedetails``, compared but not kept).
+_REP = "rep"
+# candidate columns of _explode_candidates the rows do not carry
+_NOT_CARRIED = ("n_lat", "n_lon", "n_display_name", "n_category")
+# candidate columns that hold None where a place has no value
+_NULLABLE = (O_STREET, O_CITY, O_HOUSENBR, O_COUNTRY, O_POSTCODE)
+# compare-time echo column <- sent field
+_CMP_SRC = dict(zip(CMP_FIELDS, (STREET, HOUSENBR, POSTCODE, CITY)))
+_DIGITS_ONLY = re.compile(r"^[0-9]*$")
+_LEADING_DIGITS = re.compile(r"^([0-9]+)")
+
+
+def _no_rows() -> dict:
+    return {_REP: np.empty(0, np.int64)}
+
+
+def _take(rows: dict, pos) -> dict:
+    return {k: v[pos] for k, v in rows.items()}
+
+
+def _nrows(rows: dict) -> int:
+    return len(rows[_REP])
+
+
+def _default(col: str, n: int) -> np.ndarray:
+    return np.full(n, RESULT_COLUMNS[col], dtype=_NP_TYPE.get(col, object))
+
+
+def _stack(parts: list[dict]) -> dict:
+    """Row sets as one, in order; a result column some set lacks takes
+    its ``RESULT_COLUMNS`` default there."""
+    parts = [p for p in parts if _nrows(p)]
+    out = {_REP: np.concatenate([p[_REP] for p in parts]
+                                if parts else [np.empty(0, np.int64)])}
+    for col in _STORE_SCHEMA.names:
+        if any(col in p for p in parts):
+            out[col] = np.concatenate([p[col] if col in p
+                                       else _default(col, _nrows(p))
+                                       for p in parts])
+    return out
+
+
+def _keep_bests(rows: dict, street_a: list, threshold: float):
+    """``keep_bests`` of candidate rows against their sent address."""
+    return keep_bests(
+        rows[_REP], street_a, rows[O_HOUSENBR], rows[O_POSTCODE],
+        rows[O_CITY], rows[M_CMP_STREET], rows[M_CMP_HOUSENBR],
+        rows[M_CMP_POSTCODE], rows[M_CMP_CITY], rows[M_OSM_ORDER],
+        threshold=threshold)
+
+
+def _match_parent(keep: dict, reject: dict, gazetteer,
+                  cfg: PipelineConfig) -> tuple[dict, dict]:
     """Parent-place rescue for mismatch rejects of unmatched addresses
     (check_result_utils.py:560-644): street (highway) parents only, alt
     names exploded and re-validated."""
-    if rejects.shape[0] == 0:
-        return results, rejects
-    cand = rejects[(rejects[M_REJECT_REASON] == "mismatch")
-                   & (~rejects[ADDR_KEY].isin(results[ADDR_KEY]))]
-    if cand.shape[0] == 0:
-        return results, rejects
-    # one details pass per UNIQUE place_id (round-3: was a per-row
-    # iterrows loop with 2 point lookups each), then a vectorized
-    # merge-explode of the highway parents' alt names
-    alt_map_rows = []
-    for pid in pd.unique(cand["n_place_id"]):
-        det = gazetteer.details(pid)
-        parent_id = det.get("parent_place_id", 0)
+    cand = np.flatnonzero((reject[M_REJECT_REASON] == "mismatch")
+                          & ~np.isin(reject[_REP], keep[_REP]))
+    pids = reject[M_PLACE_ID][cand].tolist()
+    alts_of: dict[int, list] = {}
+    for pid in dict.fromkeys(pids):       # one details pass per place
+        parent_id = gazetteer.details(pid).get("parent_place_id", 0)
         if not parent_id:
             continue
         pdet = gazetteer.details(parent_id)
-        if pdet.get("category") != "highway":
-            continue
-        for lang, alt in pdet.get("names", {}).items():
-            alt_map_rows.append((pid, alt))
-    if not alt_map_rows:
-        return results, rejects
-    alt_map = pd.DataFrame(alt_map_rows, columns=["n_place_id",
-                                                  "n_alt_name"])
-    alts = (cand.drop(columns=[M_REJECT_REASON])
-            .reset_index(names="_src_index")
-            .merge(alt_map, on="n_place_id", how="inner"))
+        if pdet.get("category") == "highway":
+            alts_of[pid] = list(pdet.get("names", {}).values())
+    src = np.repeat(cand, [len(alts_of.get(p, ())) for p in pids])
+    alt = np.array([a for p in pids for a in alts_of.get(p, ())],
+                   dtype=object)
     # alt equal to street name adds nothing (check_result_utils.py:617)
-    alts = alts[alts["n_alt_name"] != alts[O_STREET]]
-    if alts.shape[0] == 0:
-        return results, rejects
-    keep, _ = keep_bests(
-        alts, street_cols_a=["n_alt_name"], housenbr_col_a=O_HOUSENBR,
-        postcode_col_a=O_POSTCODE, city_col_a=O_CITY,
-        street_col_b=STREET, housenbr_col_b=HOUSENBR,
-        postcode_col_b=POSTCODE, city_col_b=CITY,
-        secondary_sort_col=M_OSM_ORDER, threshold=cfg.similarity_threshold)
-    if keep.shape[0] == 0:
-        return results, rejects
-    keep = keep.drop(columns=["n_alt_name", "_src_index"])
-    results = pd.concat([results, keep], sort=False)
-    saved = set(zip(keep[ADDR_KEY], keep["n_place_id"]))
-    mask = [(k, p) in saved for k, p in
-            zip(rejects[ADDR_KEY], rejects["n_place_id"])]
-    rejects = rejects[~np.array(mask)]
-    return results, rejects
+    ok = alt != reject[O_STREET][src]
+    if not ok.any():
+        return keep, reject
+    alts = _take(reject, src[ok])
+    del alts[M_REJECT_REASON]
+    kept, _, _, scores = _keep_bests(alts, [("n_alt_name", alt[ok])],
+                                     cfg.similarity_threshold)
+    if not len(kept):
+        return keep, reject
+    alts.update(scores)
+    rescued = _take(alts, kept)
+    # drop the rescued (address, place) rejects: one rescue per address,
+    # in address order
+    rep, pid = rescued[_REP], rescued[M_PLACE_ID]
+    at = np.minimum(np.searchsorted(rep, reject[_REP]), len(rep) - 1)
+    saved = (rep[at] == reject[_REP]) & (pid[at] == reject[M_PLACE_ID])
+    return (_stack([keep, rescued]), _take(reject, np.flatnonzero(~saved)))
 
 
-def _process_osm(sent: pd.DataFrame, gazetteer, cfg: PipelineConfig,
-                 check_results: bool) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Geocode + explode + validate-or-head(1) (utils.py:303-441)."""
-    empty = pd.DataFrame(columns=list(sent.columns) + [M_REJECT_REASON])
-    if sent.shape[0] == 0:
-        return empty, empty
+def _process_osm(sent: AddressRows, labels: np.ndarray, gazetteer,
+                 cfg: PipelineConfig, check_results: bool
+                 ) -> tuple[dict, dict]:
+    """Geocode + explode + validate-or-head(1) (utils.py:303-441) →
+    (kept rows, rejected rows)."""
     if cfg.osm_structured:
         # get_osm_struct branch of process_osm (utils.py:352-375): the
-        # five components go to the geocoder as they are, deduplicated
-        # on the transformed-address string that keys them back
-        uniq = sent.drop_duplicates(subset=[M_TRANSFORMED])
-        labels = uniq[M_TRANSFORMED].tolist()
-        parts = list(zip(*(uniq[c].tolist() for c in INPUT_FIELDS)))
+        # five components go to the geocoder as they are, once per
+        # distinct component tuple
+        tuples = list(zip(*(sent.fields[f].tolist() for f in INPUT_FIELDS)))
+        code, first = factorize(tuples)
+        parts = [tuples[i] for i in first.tolist()]
     else:
-        labels = sent[M_TRANSFORMED].drop_duplicates().tolist()
+        code, first = factorize(labels.tolist())
         parts = [gazetteer.parse_parts(q, use_cache=cfg.with_worker_memos)
-                 for q in labels]
-    cands = _explode_candidates(labels, parts, gazetteer, cfg)
-    osm = sent.merge(cands, on=M_TRANSFORMED)
-    if osm.shape[0] == 0:
-        return empty, empty
-    if check_results:
-        keep, reject = keep_bests(
-            osm, street_cols_a=[O_STREET, O_OTHER, "n_namedetails"],
-            housenbr_col_a=O_HOUSENBR, postcode_col_a=O_POSTCODE,
-            city_col_a=O_CITY, street_col_b=STREET,
-            housenbr_col_b=HOUSENBR, postcode_col_b=POSTCODE,
-            city_col_b=CITY, secondary_sort_col=M_OSM_ORDER,
-            threshold=cfg.similarity_threshold)
-        if cfg.use_osm_parent:
-            keep, reject = _match_parent(keep, reject, gazetteer, cfg)
-    else:
-        keep = osm.groupby(ADDR_KEY, sort=False).head(1).copy()
-        reject = osm[~osm.index.isin(keep.index)].copy()
-        reject[M_REJECT_REASON] = "tail"
+                 for q in labels[first].tolist()]
+    q, cands = _explode_candidates(labels[first].tolist(), parts, gazetteer,
+                                   cfg)
+    # every sent row followed by its query's candidates (the inner merge
+    # on the transformed address)
+    counts = np.bincount(q, minlength=len(first))
+    n_of = counts[code]
+    at = np.repeat(np.arange(len(sent)), n_of)
+    if not len(at):
+        return _no_rows(), _no_rows()
+    cand = concat_ranges(np.cumsum(counts)[code] - n_of, n_of)
+    for c in _NULLABLE:
+        cands[c] = _str_values(cands[c])
+    osm = {k: v[cand] for k, v in cands.items() if k not in _NOT_CARRIED}
+    osm.update({_REP: sent.idx[at], M_CLEANSED_HN: np.zeros(len(at), bool),
+                M_PLACE_ID: osm.pop("n_place_id"),
+                M_PLACE_RANK: osm.pop("n_place_rank")})
+    osm.update((k, sent.fields[f][at]) for k, f in _CMP_SRC.items())
+    if not check_results:
+        keep = first_per_group(osm[_REP])
+        tail = np.ones(len(at), bool)
+        tail[keep] = False
+        reject = _take(osm, tail)
+        reject[M_REJECT_REASON] = np.full(int(tail.sum()), "tail",
+                                          dtype=object)
+        return _take(osm, keep), reject
+    keep, mismatch, tail, scores = _keep_bests(
+        osm, [(c, osm[c]) for c in (O_STREET, O_OTHER, "n_namedetails")],
+        cfg.similarity_threshold)
+    osm.update(scores)
+    reject = _take(osm, np.concatenate([mismatch, tail]))
+    reject[M_REJECT_REASON] = np.repeat(
+        np.array(["mismatch", "tail"], dtype=object),
+        [len(mismatch), len(tail)])
+    keep = _take(osm, keep)
+    if cfg.use_osm_parent:
+        keep, reject = _match_parent(keep, reject, gazetteer, cfg)
     return keep, reject
 
 
-def _retry_low_place_rank(results: pd.DataFrame, sent: pd.DataFrame,
-                          gazetteer, cfg: PipelineConfig,
-                          check_results: bool) -> pd.DataFrame:
+def _retry_low_place_rank(keep: dict, sent: AddressRows, gazetteer,
+                          cfg: PipelineConfig, check_results: bool) -> dict:
     """Strip the house number to leading digits and re-geocode results with
     place_rank < 30; keep retries that reach rank 30
     (utils.py:225-299)."""
-    low = results[results["n_place_rank"] < 30]
-    if low.shape[0] == 0:
-        return results
-    retry = low[[ADDR_KEY]].merge(sent, on=ADDR_KEY)
-    hn = retry[HOUSENBR].fillna("").astype(str)
-    retry = retry[~hn.str.match(r"^[0-9]*$")]
-    if retry.shape[0] == 0:
-        return results
-    retry = retry.copy()
-    retry[HOUSENBR] = (retry[HOUSENBR].fillna("").astype(str)
-                       .str.extract(r"^([0-9]+)")[0].fillna(""))
-    retry[M_TRANSFORMED] = assemble_full_address(retry)
-    keep, _ = _process_osm(retry, gazetteer, cfg, check_results)
-    if keep.shape[0] == 0:
-        return results
-    keep = keep[keep["n_place_rank"] == 30].copy()
-    if keep.shape[0] == 0:
-        return results
-    keep[M_CLEANSED_HN] = True
-    return pd.concat([results[~results[ADDR_KEY].isin(keep[ADDR_KEY])], keep],
-                     sort=False)
+    low = np.isin(sent.idx, keep[_REP][keep[M_PLACE_RANK] < 30])
+    retry = sent.take(np.flatnonzero(low))
+    pos = [i for i, h in enumerate(retry.fields[HOUSENBR].tolist())
+           if not _DIGITS_ONLY.match(h)]
+    if not pos:
+        return keep
+    retry = retry.take(pos)
+    retry.fields[HOUSENBR] = np.array(
+        [m.group(1) if (m := _LEADING_DIGITS.match(h)) else ""
+         for h in retry.fields[HOUSENBR].tolist()], dtype=object)
+    again, _ = _process_osm(retry, assemble_full_address(retry.fields),
+                            gazetteer, cfg, check_results)
+    if not _nrows(again):
+        return keep
+    again = _take(again, again[M_PLACE_RANK] == 30)
+    again[M_CLEANSED_HN][:] = True
+    return _stack([_take(keep, ~np.isin(keep[_REP], again[_REP])), again])
 
 
-def _transform_and_process(chunk: pd.DataFrame, transformers: list[str],
+def _transform_and_process(todo: AddressRows, transformers: list[str],
                            gazetteer, parser, cfg: PipelineConfig
-                           ) -> tuple[pd.DataFrame, pd.DataFrame, dict]:
-    """One cascade step (utils.py:589-688)."""
-    method = "+".join(transformers)
-    stats = {"method": method, "todo": int(chunk.shape[0]), "sent": 0,
+                           ) -> tuple[dict, dict, dict]:
+    """One cascade step (utils.py:589-688) → (matched rows, rejected
+    rows, step stats).  Each row echoes the exact four strings the
+    comparator saw (``CMP_FIELDS``; the cleansed-hn retry's digits-only
+    house number included), which make every cascade method
+    SQL-scorable downstream (the adjudication / selection oracles read
+    them as snapshot params)."""
+    stats = {"method": "+".join(transformers), "todo": len(todo), "sent": 0,
              "match": 0, "match_26": 0, "reject_rec": 0, "reject_addr": 0,
              "reject_mism": 0}
-    empty = pd.DataFrame(columns=[ADDR_KEY])
-    if chunk.shape[0] == 0:
-        return empty, empty, stats
-    transformed = apply_transformers(chunk, transformers, parser, gazetteer, cfg)
-    if transformed.shape[0] == 0:
-        return empty, empty, stats
-    transformed = transformed.copy()
-    transformed[M_TRANSFORMED] = assemble_full_address(transformed)
-    if cfg.check_with_transformed:
-        sent = transformed
-    else:
-        sent = transformed[[M_TRANSFORMED, ADDR_KEY]].merge(
-            chunk, on=ADDR_KEY)
-    stats["sent"] = int(sent.shape[0])
-    results, rejected = _process_osm(sent, gazetteer, cfg, cfg.check_results)
-    if cfg.with_cleansed_number_on_26 and results.shape[0] > 0:
-        results = _retry_low_place_rank(results, sent, gazetteer, cfg,
-                                        cfg.check_results)
-    results = results.copy()
-    results[M_METHOD] = method
-    rejected = rejected.copy()
-    rejected[M_METHOD] = method
-    # compare-time echo: freeze the exact four strings the comparator
-    # saw on every candidate row BEFORE _run_cascade restores the
-    # original input columns — rows from the cleansed-hn retry carry
-    # the digits-only house number they were actually re-scored with.
-    # These make every cascade method SQL-scorable downstream (the
-    # adjudication / selection oracles read them as snapshot params).
-    for fr in (results, rejected):
-        if fr.shape[0] == 0:
-            continue
-        for cmp_col, src in zip(CMP_FIELDS,
-                                (STREET, HOUSENBR, POSTCODE, CITY)):
-            fr[cmp_col] = (fr[src].fillna("").astype(str)
-                           if src in fr.columns else "")
-    stats["match"] = int(results.shape[0])
+    if not len(todo):
+        return _no_rows(), _no_rows(), stats
+    sent = apply_transformers(todo, transformers, parser, gazetteer, cfg)
+    if not len(sent):
+        return _no_rows(), _no_rows(), stats
+    labels = assemble_full_address(sent.fields)
+    if not cfg.check_with_transformed:
+        # validate against the step's input, not the transformed fields
+        sent = AddressRows(sent.idx, todo.take(
+            np.searchsorted(todo.idx, sent.idx)).fields)
+    stats["sent"] = len(sent)
+    keep, reject = _process_osm(sent, labels, gazetteer, cfg,
+                                cfg.check_results)
+    if cfg.with_cleansed_number_on_26 and _nrows(keep):
+        keep = _retry_low_place_rank(keep, sent, gazetteer, cfg,
+                                     cfg.check_results)
     # full reference step-stats parity (utils.py:678-686): cleansed-hn
     # match count, distinct rejected addresses, distinct mismatches
-    stats["match_26"] = (
-        int(sum(x is True or x == 1 for x in results[M_CLEANSED_HN]
-                if x == x and x is not None))
-        if M_CLEANSED_HN in results.columns else 0)
-    stats["reject_rec"] = int(rejected.shape[0])
-    stats["reject_addr"] = (int(rejected[ADDR_KEY].nunique())
-                            if rejected.shape[0] else 0)
-    stats["reject_mism"] = (
-        int(rejected.loc[rejected[M_REJECT_REASON] == "mismatch",
-                         ADDR_KEY].nunique())
-        if rejected.shape[0] and M_REJECT_REASON in rejected.columns else 0)
-    return results, rejected, stats
+    mism = (reject[_REP][reject[M_REJECT_REASON] == "mismatch"]
+            if _nrows(reject) else reject[_REP])
+    stats.update(
+        match=_nrows(keep),
+        match_26=int(keep[M_CLEANSED_HN].sum()) if _nrows(keep) else 0,
+        reject_rec=_nrows(reject), reject_addr=len(np.unique(reject[_REP])),
+        reject_mism=len(np.unique(mism)))
+    return keep, reject, stats
 
 
-def _extra_house_number(df: pd.DataFrame, parser) -> pd.DataFrame:
+def _extra_house_number(fields: dict, rep: np.ndarray, parser) -> dict:
     """libpostal house-number extraction for matched rows
     (utils.py:783-846): o_in_house_number = input housenumber,
     o_lpost_house_number / o_lpost_unit from parsing
     'street hn, pc city'."""
-    if df.shape[0] == 0:
-        return df
-    df = df.copy()
-    df[O_IN_HOUSENBR] = df[HOUSENBR].fillna("").astype(str)
-    full = (df[STREET].fillna("").astype(str) + " "
-            + df[HOUSENBR].fillna("").astype(str) + ", "
-            + df[POSTCODE].fillna("").astype(str) + " "
-            + df[CITY].fillna("").astype(str)).str.strip()
-
-    def _hn(s):
+    hn = fields[HOUSENBR][rep]
+    out = []
+    for s, h, p, c in zip(fields[STREET][rep].tolist(), hn.tolist(),
+                          fields[POSTCODE][rep].tolist(),
+                          fields[CITY][rep].tolist()):
         try:
-            pairs = parser.parse(s)
-            return (";".join(v for v, l in pairs if l == "house_number"),
-                    ";".join(v for v, l in pairs if l == "unit"))
+            pairs = parser.parse(f"{s} {h}, {p} {c}".strip())
+            out.append((";".join(v for v, l in pairs if l == "house_number"),
+                        ";".join(v for v, l in pairs if l == "unit")))
         except Exception:
             err = "error during Libpostal processing"  # utils.py:806-807
-            return (err, err)
-
-    vals = [_hn(s) for s in full]
-    df[O_LPOST_HN] = [v[0] for v in vals]
-    df[O_LPOST_UNIT] = [v[1] for v in vals]
-    return df
+            out.append((err, err))
+    lpost = np.array(out, dtype=object).reshape(len(out), 2)
+    return {O_IN_HOUSENBR: hn, O_LPOST_HN: lpost[:, 0],
+            O_LPOST_UNIT: lpost[:, 1]}
 
 
-def _finalize(df: pd.DataFrame) -> pd.DataFrame:
-    """Project to the fixed result schema with stable dtypes.
-
-    Built as a dict of typed numpy arrays then ONE DataFrame
-    construction: the previous column-by-column insert ran three full
-    passes per string column (astype(object) + where + fillna/astype)
-    plus block-manager consolidation per insert — pure memory traffic,
-    which is what caps multi-worker scaling on a shared socket."""
-    n = len(df)
-    data: dict = {}
-    for col, default in RESULT_COLUMNS.items():
-        if col in df.columns:
-            v = df[col]
-            if col in _FLOAT_COLS:
-                data[col] = pd.to_numeric(v, errors="coerce").to_numpy(
-                    dtype=np.float64, na_value=np.nan)
-            elif col in _INT_COLS:
-                if pd.api.types.is_integer_dtype(v):
-                    # already exact — no float64 round-trip (ids above
-                    # 2^53 would silently corrupt)
-                    data[col] = v.to_numpy(dtype=np.int64)
-                elif pd.api.types.is_float_dtype(v):
-                    # exactness already bounded by the float64 source
-                    data[col] = v.to_numpy(dtype=np.float64,
-                                           na_value=-1.0).astype(np.int64)
-                else:
-                    try:  # object column of python ints / NA: exact via
-                        # the nullable Int64 extension array
-                        ia = pd.array(v.to_numpy(dtype=object,
-                                                 na_value=None),
-                                      dtype="Int64")
-                        data[col] = ia.to_numpy(dtype=np.int64,
-                                                na_value=-1)
-                    except (ValueError, TypeError):
-                        data[col] = pd.to_numeric(
-                            v, errors="coerce").to_numpy(
-                            dtype=np.float64, na_value=-1.0
-                        ).astype(np.int64)
-            elif col in _BOOL_COLS:
-                a = v.to_numpy(dtype=object, na_value=False)
-                data[col] = np.fromiter((bool(x) for x in a), dtype=bool,
-                                        count=n)
-            else:
-                a = v.to_numpy(dtype=object, na_value="")
-                if not all(type(x) is str for x in a):
-                    a = np.array([x if type(x) is str
-                                  else ("" if x is None else str(x))
-                                  for x in a], dtype=object)
-                data[col] = a
-        else:
-            if col in _FLOAT_COLS:
-                data[col] = np.full(n, np.float64(default))
-            elif col in _INT_COLS:
-                data[col] = np.full(n, np.int64(default))
-            elif col in _BOOL_COLS:
-                data[col] = np.full(n, bool(default))
-            else:
-                data[col] = np.full(n, str(default), dtype=object)
-    return pd.DataFrame(data, index=df.index)
-
-
-def _run_cascade(inputs: pd.DataFrame, gazetteer, parser,
-                 cfg: PipelineConfig,
-                 stats_out: list | None = None) -> pd.DataFrame:
-    """The cascade proper over a NORMALIZED input frame (str-typed base
-    columns) → fixed-schema finalized frame.  Factored out so the
-    per-worker result memo can run it on unique-address representatives
-    only (see process_addresses_df)."""
-    import time as _time
-    base_cols = [ADDR_KEY] + INPUT_FIELDS
-    chunk = inputs
-    matches = []
-    rejects = []
-    for step_idx, transformers in enumerate(cfg.cascade):
-        t0 = _time.perf_counter()
-        try:
-            res, rej, _stats = _transform_and_process(
-                chunk, transformers, gazetteer, parser, cfg)
-        except Exception as exc:  # step failure labels, never kills (utils.py:1255-1261)
-            res = chunk[[ADDR_KEY]].copy()
-            res[M_METHOD] = "error on " + "+".join(transformers) + f": {type(exc).__name__}"
-            rej = pd.DataFrame(columns=[ADDR_KEY])
-            _stats = {"method": "+".join(transformers),
-                      "todo": int(chunk.shape[0]), "sent": 0,
-                      "match": int(res.shape[0]), "match_26": 0,
-                      "reject_rec": 0, "reject_addr": 0, "reject_mism": 0}
-        if stats_out is not None:
-            _stats["step"] = step_idx
-            _stats["seconds"] = round(_time.perf_counter() - t0, 6)
-            stats_out.append(_stats)
-        if res.shape[0] > 0:
-            matches.append(res)
-        if rej.shape[0] > 0 and cfg.with_rejected:
-            rejects.append(rej)
-        matched_keys = res[ADDR_KEY] if res.shape[0] else pd.Series([], dtype=object)
-        chunk = chunk[~chunk[ADDR_KEY].isin(matched_keys)]
-        if chunk.shape[0] == 0:
-            break
-
-    match_df = (pd.concat(matches, sort=False).drop_duplicates(
-        subset=[ADDR_KEY]) if matches else pd.DataFrame(columns=[ADDR_KEY]))
-    rej_df = (pd.concat(rejects, sort=False) if rejects
-              else pd.DataFrame(columns=[ADDR_KEY]))
-
-    # restore original input columns (utils.py:1271)
-    match_df = match_df.drop(columns=[c for c in INPUT_FIELDS
-                                      if c in match_df.columns])
-    match_df = match_df.merge(inputs[base_cols], on=ADDR_KEY, how="left")
-    if cfg.with_extra_house_number and match_df.shape[0] > 0:
-        match_df = _extra_house_number(match_df, parser)
-
-    # reject → distance to that address's match (utils.py:1080-1093)
-    if rej_df.shape[0] > 0 and "n_lat" in rej_df.columns and "n_lat" in match_df.columns:
-        m = match_df[[ADDR_KEY, "n_lat", "n_lon"]].rename(
-            columns={"n_lat": "_mlat", "n_lon": "_mlon"})
-        rej_df = rej_df.merge(m, on=ADDR_KEY, how="left")
-        ok = rej_df["_mlat"].notna() & rej_df["n_lat"].notna()
-        d = np.full(len(rej_df), np.nan)
+def _result_table(fields: dict, matches: list[dict], rejects: list[dict],
+                  parser, cfg: PipelineConfig) -> tuple[pa.Table, np.ndarray]:
+    """The ``_STORE_SCHEMA`` rows of the representatives, built once from
+    typed arrays, grouped by representative in order: its match, then
+    its rejects in step order, then an 'unmatched' stub when it has no
+    match (utils.py:1263-1279) → (table, row count per representative).
+    Input columns are the originals (utils.py:1271), one take."""
+    n = len(fields[STREET])
+    match, reject = _stack(matches), _stack(rejects)
+    if cfg.with_extra_house_number and _nrows(match):
+        match.update(_extra_house_number(fields, match[_REP], parser))
+    if O_LAT in reject:
+        # reject → distance to that address's match (utils.py:1080-1093)
+        m_lat, m_lon = np.full(n, np.nan), np.full(n, np.nan)
+        if O_LAT in match:
+            m_lat[match[_REP]] = match[O_LAT]
+            m_lon[match[_REP]] = match[O_LON]
+        r = reject[_REP]
+        ok = ~np.isnan(m_lat[r]) & ~np.isnan(reject[O_LAT])
+        d = np.full(len(r), np.nan)
         if ok.any():
-            d[ok.to_numpy()] = np.round(haversine_km(
-                rej_df.loc[ok, "n_lat"], rej_df.loc[ok, "n_lon"],
-                rej_df.loc[ok, "_mlat"], rej_df.loc[ok, "_mlon"]), 3)
-        rej_df[M_DIST_TO_MATCH] = d
+            d[ok] = np.round(haversine_km(
+                reject[O_LAT][ok], reject[O_LON][ok], m_lat[r][ok],
+                m_lon[r][ok]), 3)
+        reject[M_DIST_TO_MATCH] = d
+    unmatched = np.ones(n, bool)
+    unmatched[match[_REP]] = False
+    stub = {_REP: np.flatnonzero(unmatched)}
+    for rows, status in ((match, "match"), (reject, "reject"),
+                         (stub, "unmatched")):
+        rows[STATUS] = np.full(_nrows(rows), status, dtype=object)
+    rows = _stack([match, reject, stub])
+    order = np.argsort(rows[_REP], kind="stable")
+    rep = rows[_REP][order]
+    cols = []
+    for f in _STORE_SCHEMA:
+        v = (fields[f.name][rep] if f.name in fields
+             else rows[f.name][order] if f.name in rows
+             else _default(f.name, len(rep)))
+        if v.dtype == np.float64:         # NaN is null, over a 0.0 slot
+            nan = np.isnan(v)
+            cols.append(pa.array(np.where(nan, 0.0, v), f.type, mask=nan)
+                        if nan.any() else pa.array(v, f.type))
+        else:
+            a = pa.array(v, f.type)
+            cols.append(pc.fill_null(a, "") if a.null_count else a)
+    return (pa.Table.from_arrays(cols, schema=_STORE_SCHEMA),
+            np.bincount(rep, minlength=n))
 
-    match_df[M_PLACE_ID] = match_df.get("n_place_id", pd.Series(dtype=float))
-    match_df[M_PLACE_RANK] = match_df.get("n_place_rank", pd.Series(dtype=float))
-    match_df[STATUS] = "match"
-    if rej_df.shape[0] > 0:
-        rej_df[M_PLACE_ID] = rej_df.get("n_place_id", pd.Series(dtype=float))
-        rej_df[M_PLACE_RANK] = rej_df.get("n_place_rank", pd.Series(dtype=float))
-        rej_df[STATUS] = "reject"
-        rej_df = rej_df.drop(columns=[c for c in INPUT_FIELDS
-                                      if c in rej_df.columns])
-        rej_df = rej_df.merge(inputs[base_cols], on=ADDR_KEY, how="left")
 
-    unmatched = inputs[~inputs[ADDR_KEY].isin(match_df[ADDR_KEY])].copy()
-    unmatched[STATUS] = "unmatched"
+def _run_cascade(fields: dict[str, np.ndarray], gazetteer, parser,
+                 cfg: PipelineConfig, stats_out: list | None = None
+                 ) -> tuple[pa.Table, np.ndarray]:
+    """The cascade over representative rows → (their result rows grouped
+    by representative in order, row count per representative).
 
-    parts = [p for p in (match_df, rej_df, unmatched) if p.shape[0] > 0]
-    if not parts:
-        return _finalize(pd.DataFrame(columns=base_cols))
-    return _finalize(pd.concat(parts, sort=False, ignore_index=True))
+    ``fields`` holds the five input fields, one object array of ``str``
+    each, one row per representative.  The representative index keys
+    every row through the steps: a step sees the indices still
+    unmatched (the anti-join between steps is a mask), its row sets are
+    index arrays plus the candidate columns, and the result table is
+    built once at the end (``_result_table``)."""
+    todo = AddressRows(np.arange(len(fields[STREET])), fields)
+    matches, rejects = [], []
+    for step_idx, transformers in enumerate(cfg.cascade):
+        t0 = time.perf_counter()
+        method = "+".join(transformers)
+        try:
+            keep, reject, stats = _transform_and_process(
+                todo, transformers, gazetteer, parser, cfg)
+        except Exception as exc:  # step failure labels, never kills (utils.py:1255-1261)
+            keep, reject = {_REP: todo.idx}, _no_rows()
+            stats = {"method": method, "todo": len(todo), "sent": 0,
+                     "match": len(todo), "match_26": 0, "reject_rec": 0,
+                     "reject_addr": 0, "reject_mism": 0}
+            method = f"error on {method}: {type(exc).__name__}"
+        if stats_out is not None:
+            stats["step"] = step_idx
+            stats["seconds"] = round(time.perf_counter() - t0, 6)
+            stats_out.append(stats)
+        keep[M_METHOD] = np.full(_nrows(keep), method, dtype=object)
+        matches.append(keep)
+        if cfg.with_rejected and _nrows(reject):
+            reject[M_METHOD] = np.full(_nrows(reject), method, dtype=object)
+            rejects.append(reject)
+        todo = todo.take(np.flatnonzero(~np.isin(todo.idx, keep[_REP])))
+        if not len(todo):
+            break
+    return _result_table(fields, matches, rejects, parser, cfg)
 
 
 # Most distinct address tuples one worker keeps per config; keys past
@@ -628,25 +610,9 @@ def _memo_keys(inputs: pa.Table) -> list[str]:
     return pc.binary_join_element_wise(*parts, ":").to_pylist()
 
 
-def _run_representatives(reps: pa.Table, gazetteer, parser,
-                         cfg: PipelineConfig, stats_out: list | None
-                         ) -> tuple[pa.Table, np.ndarray]:
-    """``_run_cascade`` once over the representative rows under SYNTHETIC
-    keys ``r0, r1, …`` → (their result rows grouped by representative in
-    order, row count per representative).  Synthetic keys keep one
-    output group per representative even when a caller reuses one
-    addr_key for different tuples; they must be plain printable strings
-    (pandas' string hashtable truncates at an embedded NUL)."""
-    df = reps.to_pandas(use_threads=False)
-    df[ADDR_KEY] = [f"r{j}" for j in range(len(df))]
-    out = _run_cascade(df, gazetteer, parser, cfg, stats_out)
-    tbl = pa.Table.from_pandas(out[list(RESULT_COLUMNS)],
-                               schema=RESULT_SCHEMA, preserve_index=False)
-    rep = pc.utf8_slice_codeunits(tbl[ADDR_KEY], 1).cast(
-        pa.int64()).to_numpy()
-    order = np.argsort(rep, kind="stable")
-    return (tbl.drop_columns([ADDR_KEY]).take(order),
-            np.bincount(rep, minlength=len(df)))
+def _field_arrays(tbl: pa.Table) -> dict[str, np.ndarray]:
+    """The five input fields of ``tbl`` as object arrays of ``str``."""
+    return {f: tbl[f].to_numpy() for f in INPUT_FIELDS}
 
 
 def _memo_results(inputs: pa.Table, store: _ResultStore, gazetteer, parser,
@@ -670,9 +636,8 @@ def _memo_results(inputs: pa.Table, store: _ResultStore, gazetteer, parser,
             rep_rows.append(i)
         rep_of[i] = j
     if rep_rows:
-        local, counts = _run_representatives(
-            inputs.select(INPUT_FIELDS).take(rep_rows), gazetteer, parser,
-            cfg, None)
+        local, counts = _run_cascade(
+            _field_arrays(inputs.take(rep_rows)), gazetteer, parser, cfg)
         local_start = np.cumsum(counts) - counts
         ok, good = np.arange(len(counts)), local
         failed = pc.starts_with(local[M_METHOD], "error on ")
@@ -719,8 +684,8 @@ def _geocode_table(inputs: pa.Table, gazetteer, parser, cfg: PipelineConfig,
         res, lens = _memo_results(inputs, _result_store(gazetteer, cfg),
                                   gazetteer, parser, cfg)
     else:
-        res, lens = _run_representatives(inputs.select(INPUT_FIELDS),
-                                         gazetteer, parser, cfg, stats_out)
+        res, lens = _run_cascade(_field_arrays(inputs), gazetteer, parser,
+                                 cfg, stats_out)
     src = np.repeat(np.arange(inputs.num_rows), lens)
     return res.add_column(0, RESULT_SCHEMA.field(ADDR_KEY),
                           inputs[ADDR_KEY].take(src)), src
@@ -728,8 +693,11 @@ def _geocode_table(inputs: pa.Table, gazetteer, parser, cfg: PipelineConfig,
 
 def _as_str(col) -> pa.ChunkedArray:
     """One input column as non-null strings — the ``fillna("")
-    .astype(str)`` contract of the pandas entry point."""
-    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+    .astype(str)`` contract of the pandas entry point, except that
+    integers keep their digits (pandas would make a nullable int column
+    float: ``4`` → ``"4.0"``, and round values past 2^53)."""
+    if (pa.types.is_string(col.type) or pa.types.is_large_string(col.type)
+            or pa.types.is_integer(col.type)):
         col = col.cast(pa.string())
         return pc.fill_null(col, "") if col.null_count else col
     return pa.chunked_array([pa.array(

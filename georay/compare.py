@@ -28,9 +28,8 @@ from functools import lru_cache
 import numpy as np
 import pandas as pd
 
-from .config import (ADDR_KEY, C_SIM_CITY, C_SIM_HOUSENBR, C_SIM_POSTCODE,
-                     C_SIM_STREET, C_SIM_STREET_WHICH, M_REJECT_REASON,
-                     SIMILARITY_THRESHOLD)
+from .config import (C_SIM_CITY, C_SIM_HOUSENBR, C_SIM_POSTCODE,
+                     C_SIM_STREET, C_SIM_STREET_WHICH, SIMILARITY_THRESHOLD)
 from .textkernels import (fingerprint, inclusion_test, levenshtein_similarity,
                           normalize_street, remove_accents)
 
@@ -165,13 +164,16 @@ def postcode_similarity(s1: str, s2: str) -> float:
     return 0.0
 
 
-def _str_values(s: pd.Series) -> np.ndarray:
-    """One column as an object array of ``str`` (the ``fillna("")
-    .astype(str)`` contract); all-``str`` columns skip the conversion."""
-    v = s.to_numpy(dtype=object)
+def _str_values(values) -> np.ndarray:
+    """A column (Series or array) as an object array of ``str`` (the
+    ``fillna("").astype(str)`` contract); all-``str`` columns skip the
+    conversion."""
+    v = np.asarray(values, dtype=object)
     if all(type(x) is str for x in v):
         return v
-    return s.fillna("").astype(str).to_numpy(dtype=object)
+    v = np.where(pd.isna(v), "", v)
+    return np.array([x if type(x) is str else str(x) for x in v],
+                    dtype=object)
 
 
 def _map_pairs(av: np.ndarray, bv: np.ndarray, fn) -> np.ndarray:
@@ -204,72 +206,49 @@ def _ascending_key(v: np.ndarray) -> np.ndarray:
     return np.where(codes < 0, len(uniq), codes)
 
 
-def _with_columns(df: pd.DataFrame, cols: dict[str, np.ndarray]
-                  ) -> pd.DataFrame:
-    """``df`` plus ``cols`` in one column-wise concat (no per-column
-    inserts); a column ``df`` already has is replaced where it stands."""
-    new = pd.DataFrame(cols, index=df.index)
-    old = [c for c in cols if c in df.columns]
-    if not old:
-        return pd.concat([df, new], axis=1)
-    order = list(df.columns) + [c for c in cols if c not in df.columns]
-    return pd.concat([df.drop(columns=old), new], axis=1)[order]
-
-
-def keep_bests(df: pd.DataFrame,
-               street_cols_a: list[str],
-               housenbr_col_a: str, postcode_col_a: str, city_col_a: str,
-               street_col_b: str, housenbr_col_b: str,
-               postcode_col_b: str, city_col_b: str,
-               secondary_sort_col: str,
-               max_res: int = 1,
-               threshold: float = SIMILARITY_THRESHOLD,
-               ) -> tuple[pd.DataFrame, pd.DataFrame]:
+def keep_bests(group: np.ndarray, street_a: list[tuple[str, np.ndarray]],
+               housenbr_a: np.ndarray, postcode_a: np.ndarray,
+               city_a: np.ndarray, street_b: np.ndarray,
+               housenbr_b: np.ndarray, postcode_b: np.ndarray,
+               city_b: np.ndarray, secondary: np.ndarray,
+               max_res: int = 1, threshold: float = SIMILARITY_THRESHOLD,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Validate candidate rows against the input address and keep the best
-    ``max_res`` per address — flat-column port of
+    ``max_res`` per ``group`` (the address) — array port of
     ``ignore_mismatch_keep_bests`` (check_result_utils.py:463-554).
 
-    Returns ``(keep, reject)``; rejects carry ``m_reject_reason`` of
-    ``"mismatch"`` (failed the elimination rule :532) or ``"tail"``
-    (valid but not first).  Adds the ``c_sim_*`` score columns to both.
-    ``keep`` is in (addr_key, street score desc, house-number score
-    desc, ``secondary_sort_col``) order; ``reject`` holds the mismatches
-    in input order, then the tail in that sort order.  Scores, the
-    elimination mask, the sort and the per-address rank are numpy
-    arrays over row positions; the scores join ``df`` in one concat and
-    each output is ONE ``take`` of it (index labels are carried, never
-    looked up).
+    Every input is one array per row: ``group`` the address of each row,
+    the ``*_a`` / ``*_b`` the candidate / input strings (object arrays of
+    ``str``), ``street_a`` the (name, values) candidate street fields in
+    priority order, ``secondary`` the last sort key.  Returns ``(keep,
+    mismatch, tail, scores)``: row positions of the kept rows in (group,
+    street score desc, house-number score desc, secondary) order, of the
+    rows failing the elimination rule :532 in input order, and of the
+    valid but not first rows in the keep order; ``scores`` holds the
+    ``c_sim_*`` arrays over all rows.  Ties keep input order (stable
+    sort).
     """
-    if df.shape[0] == 0:
-        return df, df
-
-    street_b = _str_values(df[street_col_b])
-    sim_street = np.full(len(df), -1.0)
-    sim_which = np.full(len(df), "", dtype=object)
+    n = len(group)
+    sim_street = np.full(n, -1.0)
+    sim_which = np.full(n, "", dtype=object)
     # street compared against a priority list of candidate fields,
     # short-circuiting per row once >= threshold (check_result_utils.py:513-519)
-    for col in street_cols_a:
+    for name, values in street_a:
         mask = sim_street < threshold
         if not mask.any():
             break
-        if col not in df.columns:
-            continue
-        sim_street[mask] = _map_pairs(_str_values(df[col])[mask],
-                                      street_b[mask], street_similarity)
-        sim_which[mask] = col
+        sim_street[mask] = _map_pairs(values[mask], street_b[mask],
+                                      street_similarity)
+        sim_which[mask] = name
 
+    sim_hn = _map_pairs(housenbr_a, housenbr_b, house_number_similarity)
     scores = {
         C_SIM_STREET: sim_street,
         C_SIM_STREET_WHICH: sim_which,
-        C_SIM_HOUSENBR: _map_pairs(_str_values(df[housenbr_col_a]),
-                                   _str_values(df[housenbr_col_b]),
-                                   house_number_similarity),
-        C_SIM_POSTCODE: _map_pairs(_str_values(df[postcode_col_a]),
-                                   _str_values(df[postcode_col_b]),
+        C_SIM_HOUSENBR: sim_hn,
+        C_SIM_POSTCODE: _map_pairs(postcode_a, postcode_b,
                                    postcode_similarity),
-        C_SIM_CITY: _map_pairs(_str_values(df[city_col_a]),
-                               _str_values(df[city_col_b]),
-                               city_similarity),
+        C_SIM_CITY: _map_pairs(city_a, city_b, city_similarity),
     }
 
     # elimination rule (check_result_utils.py:532)
@@ -278,26 +257,13 @@ def keep_bests(df: pd.DataFrame,
                  | (sim_street < threshold))
 
     valid = np.flatnonzero(~eliminate)
-    # addr_key as factorize(sort=True) codes: the order of sorting the
-    # strings themselves at integer-compare cost; np.lexsort is stable,
-    # so ties keep input order exactly as a mergesort would
-    akc, _ = pd.factorize(df[ADDR_KEY].to_numpy()[valid], sort=True)
-    perm = np.lexsort((
-        _ascending_key(df[secondary_sort_col].to_numpy()[valid]),
-        -scores[C_SIM_HOUSENBR][valid], -sim_street[valid], akc))
-    order = valid[perm]
-    akc = akc[perm]
-    # rank within the address = position - the address's first position
-    first = np.ones(len(akc), dtype=bool)
-    first[1:] = akc[1:] != akc[:-1]
-    at = np.arange(len(akc))
+    order = valid[np.lexsort((_ascending_key(secondary[valid]),
+                              -sim_hn[valid], -sim_street[valid],
+                              group[valid]))]
+    g = group[order]
+    # rank within the group = position - the group's first position
+    first = np.ones(len(g), dtype=bool)
+    first[1:] = g[1:] != g[:-1]
+    at = np.arange(len(g))
     top = at - np.maximum.accumulate(np.where(first, at, 0)) < max_res
-
-    scored = _with_columns(df, scores)
-    mismatch = np.flatnonzero(eliminate)
-    tail = order[~top]
-    reject = scored.take(np.concatenate([mismatch, tail]))
-    reject[M_REJECT_REASON] = np.repeat(
-        np.array(["mismatch", "tail"], dtype=object),
-        [len(mismatch), len(tail)])
-    return scored.take(order[top]), reject
+    return order[top], np.flatnonzero(eliminate), order[~top], scores

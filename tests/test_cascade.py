@@ -2,16 +2,18 @@
 keep-best labeling, low-rank retry, parent rescue, method labels
 (SURVEY.md §3.1 traced behaviors).  Pure batch-local — no Ray needed."""
 
+import numpy as np
 import pandas as pd
 import pytest
 
 from georay.cascade import process_addresses_df
-from georay.config import (ADDR_KEY, CITY, COUNTRY, HOUSENBR, POSTCODE,
-                           STREET, PipelineConfig)
+from georay.config import (ADDR_KEY, CITY, COUNTRY, HOUSENBR, INPUT_FIELDS,
+                           POSTCODE, STREET, PipelineConfig)
 from georay.corpus import make_addresses
 from georay.gazetteer import GazetteerSpec, get_gazetteer
 from georay.parser import AddressParser
-from georay.transforms import apply_transformers, clean_addr_in
+from georay.transforms import (AddressRows, apply_transformers,
+                               clean_addr_in)
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +25,13 @@ def world():
 def _addr(key, street, hn, pc, city, country="Belgium"):
     return {ADDR_KEY: key, STREET: street, HOUSENBR: hn, POSTCODE: pc,
             CITY: city, COUNTRY: country}
+
+
+def _rows(*addrs):
+    """A cascade step's input rows: representatives 0..n-1."""
+    return AddressRows(np.arange(len(addrs)), {
+        f: np.array([a[f] for a in addrs], dtype=object)
+        for f in INPUT_FIELDS})
 
 
 def _run(world, rows):
@@ -39,16 +48,16 @@ def test_clean_addr_in():
 
 def test_changed_only_filter(world):
     spec, gaz, parser, cfg = world
-    df = pd.DataFrame([_addr("1", "Avenue Fonsny", "20", "1060", "Bruxelles")])
+    rows = _rows(_addr("1", "Avenue Fonsny", "20", "1060", "Bruxelles"))
     # nonum blanks the housenumber -> changed -> kept
-    out = apply_transformers(df, ["nonum"], parser, gaz, cfg)
-    assert len(out) == 1 and out.iloc[0][HOUSENBR] == ""
+    out = apply_transformers(rows, ["nonum"], parser, gaz, cfg)
+    assert len(out) == 1 and out.fields[HOUSENBR][0] == ""
     # nonum on an already-empty housenumber -> unchanged -> dropped
-    df2 = pd.DataFrame([_addr("1", "Avenue Fonsny", "", "1060", "Bruxelles")])
-    out2 = apply_transformers(df2, ["nonum"], parser, gaz, cfg)
+    rows2 = _rows(_addr("1", "Avenue Fonsny", "", "1060", "Bruxelles"))
+    out2 = apply_transformers(rows2, ["nonum"], parser, gaz, cfg)
     assert len(out2) == 0
     # orig passes everything through
-    assert len(apply_transformers(df, ["orig"], parser, gaz, cfg)) == 1
+    assert len(apply_transformers(rows, ["orig"], parser, gaz, cfg)) == 1
 
 
 def test_clean_address_matches_at_orig(world):
@@ -178,12 +187,11 @@ def test_osm_structured_mode(world):
 
 def test_nozip_nocountry_transformers(world):
     spec, gaz, parser, cfg = world
-    df = pd.DataFrame([_addr("1", "Avenue Fonsny", "20", "1060",
-                             "Bruxelles")])
-    out = apply_transformers(df, ["nozip"], parser, gaz, cfg)
-    assert len(out) == 1 and out.iloc[0][POSTCODE] == ""
-    out2 = apply_transformers(df, ["nocountry"], parser, gaz, cfg)
-    assert len(out2) == 1 and out2.iloc[0][COUNTRY] == ""
+    rows = _rows(_addr("1", "Avenue Fonsny", "20", "1060", "Bruxelles"))
+    out = apply_transformers(rows, ["nozip"], parser, gaz, cfg)
+    assert len(out) == 1 and out.fields[POSTCODE][0] == ""
+    out2 = apply_transformers(rows, ["nocountry"], parser, gaz, cfg)
+    assert len(out2) == 1 and out2.fields[COUNTRY][0] == ""
 
 
 def test_cascade_memo_cold_warm_identical():
@@ -487,3 +495,64 @@ def test_memo_does_not_keep_step_failures(world, monkeypatch):
     assert len(store.slot) == 3
     pd.testing.assert_frame_equal(process_addresses_df(df, gaz, parser, on),
                                   off)
+
+
+def test_memo_off_parses_again_in_every_batch(world, monkeypatch):
+    """with_worker_memos=False: a later batch with the same addresses
+    pays the same parses as the first (no libpostal memo of its own)."""
+    spec, gaz, _, _ = world
+    calls = []
+    real = AddressParser._parse_uncached
+    monkeypatch.setattr(AddressParser, "_parse_uncached",
+                        lambda self, text: calls.append(text)
+                        or real(self, text))
+    cfg = PipelineConfig(with_cascade_memo=False, with_worker_memos=False)
+    parser = AddressParser()
+    parser.memo_enabled = False
+    df = pd.DataFrame(_unresolvable(2))
+    per_batch = []
+    for _ in range(2):
+        calls.clear()
+        process_addresses_df(df, gaz, parser, cfg)
+        per_batch.append(len(calls))
+    assert per_batch[0] > 0
+    assert per_batch[1] == per_batch[0]
+
+
+def test_nullable_integer_house_numbers_keep_their_digits(world):
+    """An int64 house-number column (nulls and values past 2^53
+    included) geocodes like the same numbers given as strings."""
+    import pyarrow as pa
+    spec, gaz, parser, cfg = world
+    st = gaz.places[gaz.places.place_rank == 26].iloc[0]
+    hns = [4, None, 12, 2 ** 53 + 1]
+    rows = [_addr(f"k{i}", st["name"], "" if hn is None else str(hn),
+                  st["post_code"], st["post_name"])
+            for i, hn in enumerate(hns)]
+    as_str = pa.Table.from_pylist(rows)
+    at = as_str.schema.get_field_index(HOUSENBR)
+    as_int = as_str.set_column(at, HOUSENBR, pa.array(hns, pa.int64()))
+    want = process_addresses_df(as_str, gaz, parser, cfg)
+    got = process_addresses_df(as_int, gaz, parser, cfg)
+    assert got[HOUSENBR].to_pylist()[-1] == "9007199254740993"
+    assert got.equals(want)
+
+
+def test_osm_structured_rows_do_not_borrow_candidates(world):
+    """osm_structured looks up each distinct component tuple: a tuple
+    whose transformed address equals another row's gets its own
+    candidates, so its rows do not depend on the rest of the batch."""
+    spec, gaz, parser, _ = world
+    cfg = PipelineConfig(osm_structured=True, with_cascade_memo=False)
+    x, y = (c for _, c in gaz.places[gaz.places.place_rank == 16]
+            .head(2).iterrows())
+    # a: x's postcode with y's name; b: the same text in the city field,
+    # so both assemble to "<x pc> <y name>, Belgium"
+    a = _addr("a", "", "", x["post_code"], y["post_name"])
+    b = _addr("b", "", "", "", f"{x['post_code']} {y['post_name']}")
+    alone = process_addresses_df(pd.DataFrame([b]), gaz, parser, cfg)
+    both = process_addresses_df(pd.DataFrame([a, b]), gaz, parser, cfg)
+    match = both[both.status == "match"].set_index(ADDR_KEY)["m_place_id"]
+    assert match.to_dict() == {"a": x["place_id"], "b": y["place_id"]}
+    pd.testing.assert_frame_equal(
+        both[both[ADDR_KEY] == "b"].reset_index(drop=True), alone)

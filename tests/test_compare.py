@@ -5,11 +5,40 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from georay.compare import (city_similarity, house_number_similarity,
-                            keep_bests, postcode_similarity,
-                            street_similarity)
+from georay import compare
+from georay.compare import (SIMILARITY_THRESHOLD, _str_values,
+                            city_similarity, house_number_similarity,
+                            postcode_similarity, street_similarity)
 from georay.config import (ADDR_KEY, C_SIM_STREET, C_SIM_STREET_WHICH,
                            M_REJECT_REASON)
+
+
+def keep_bests_frame(df, street_cols_a, housenbr_col_a, postcode_col_a,
+                     city_col_a, street_col_b, housenbr_col_b,
+                     postcode_col_b, city_col_b, secondary_sort_col,
+                     max_res=1, threshold=SIMILARITY_THRESHOLD):
+    """``compare.keep_bests`` over a candidate frame, grouped by
+    addr_key → (keep, reject) frames: the score columns join ``df``
+    (a column already there is replaced where it stands), each output
+    is one ``take`` of it, rejects carry ``m_reject_reason``."""
+    if df.shape[0] == 0:
+        return df, df
+    col = lambda c: _str_values(df[c])
+    group, _ = pd.factorize(df[ADDR_KEY].to_numpy(), sort=True)
+    keep, mismatch, tail, scores = compare.keep_bests(
+        group, [(c, col(c)) for c in street_cols_a if c in df.columns],
+        col(housenbr_col_a), col(postcode_col_a), col(city_col_a),
+        col(street_col_b), col(housenbr_col_b), col(postcode_col_b),
+        col(city_col_b), df[secondary_sort_col].to_numpy(),
+        max_res=max_res, threshold=threshold)
+    scored = df.copy()
+    for name, values in scores.items():
+        scored[name] = values
+    reject = scored.take(np.concatenate([mismatch, tail]))
+    reject[M_REJECT_REASON] = np.repeat(
+        np.array(["mismatch", "tail"], dtype=object),
+        [len(mismatch), len(tail)])
+    return scored.take(keep), reject
 
 
 def test_house_number_compare_cases():
@@ -85,7 +114,7 @@ def test_keep_bests_elimination_and_tail():
          "cand_pc": "9999", "cand_city": "Elsewhere", "in_street": "Avenue Louise",
          "in_hn": "1", "in_pc": "1050", "in_city": "Bruxelles", "ord": 0},
     ])
-    keep, reject = keep_bests(
+    keep, reject = keep_bests_frame(
         df, street_cols_a=["cand_street"], housenbr_col_a="cand_hn",
         postcode_col_a="cand_pc", city_col_a="cand_city",
         street_col_b="in_street", housenbr_col_b="in_hn",
@@ -105,7 +134,7 @@ def test_keep_bests_street_priority_short_circuit():
          "pc": "1060", "city": "X", "in_s": "Avenue Fonsny", "in_hn": "20",
          "in_pc": "1060", "in_city": "X", "ord": 0},
     ])
-    keep, _ = keep_bests(
+    keep, _ = keep_bests_frame(
         df, street_cols_a=["s1", "s2"], housenbr_col_a="hn",
         postcode_col_a="pc", city_col_a="city", street_col_b="in_s",
         housenbr_col_b="in_hn", postcode_col_b="in_pc", city_col_b="in_city",
@@ -122,7 +151,7 @@ def test_keep_bests_postcode_city_rescue():
          "city": "Elsewhere", "in_s": "Avenue Fonsny", "in_hn": "",
          "in_pc": "1060", "in_city": "Saint-Gilles", "ord": 0},
     ])
-    keep, reject = keep_bests(
+    keep, reject = keep_bests_frame(
         df, street_cols_a=["cs"], housenbr_col_a="hn", postcode_col_a="pc",
         city_col_a="city", street_col_b="in_s", housenbr_col_b="in_hn",
         postcode_col_b="in_pc", city_col_b="in_city", secondary_sort_col="ord")
@@ -182,9 +211,9 @@ def test_self_similarity_is_one(a):
 
 
 # ---------------------------------------------------------------------------
-# keep_bests against the whole-frame pandas implementation it replaced
+# keep_bests against the whole-frame pandas implementation it replaced,
+# through the frame view above
 
-from georay.compare import SIMILARITY_THRESHOLD
 from georay.config import (C_SIM_CITY, C_SIM_HOUSENBR, C_SIM_POSTCODE)
 
 
@@ -286,7 +315,7 @@ def _candidate_frames(draw):
 
 
 def _assert_same_split(df, kw):
-    keep, reject = keep_bests(df, **kw)
+    keep, reject = keep_bests_frame(df, **kw)
     ref_keep, ref_reject = _ref_keep_bests(df, **kw)
     for got, ref in ((keep, ref_keep), (reject, ref_reject)):
         assert list(got.index) == list(ref.index)

@@ -1,16 +1,17 @@
 """User-extension surface + sink packing: custom transformer registry
 (SURVEY.md §2.9), struct sink (§1.4), table adapter."""
 
+import numpy as np
 import pandas as pd
 import pytest
 
 import ray.data
 
-from georay.config import HOUSENBR, STREET, PipelineConfig
+from georay.config import HOUSENBR, INPUT_FIELDS, STREET, PipelineConfig
 from georay.gazetteer import GazetteerSpec, get_gazetteer
 from georay.parser import AddressParser
-from georay.transforms import (TRANSFORMER_REGISTRY, apply_transformers,
-                               register_transformer)
+from georay.transforms import (TRANSFORMER_REGISTRY, AddressRows,
+                               apply_transformers, register_transformer)
 
 SPEC = GazetteerSpec()
 
@@ -31,14 +32,16 @@ def test_register_custom_transformer_in_cascade():
                             HOUSENBR: "4", "post_code": st["post_code"],
                             "post_name": st["post_name"],
                             "country_name": "Belgium"}])
-        out = apply_transformers(df, ["stripmarker"], AddressParser(), gaz,
+        rows = AddressRows(np.arange(len(df)), {
+            f: df[f].to_numpy(dtype=object) for f in INPUT_FIELDS})
+        out = apply_transformers(rows, ["stripmarker"], AddressParser(), gaz,
                                  PipelineConfig())
-        assert out.iloc[0][STREET] == st["name"]
+        assert out.fields[STREET][0] == st["name"]
         # an upper-case-only transformer is filtered as unchanged
         register_transformer("uppercase",
                              lambda d, p, g, c: d.assign(
                                  **{STREET: d[STREET].str.upper()}))
-        out2 = apply_transformers(df, ["uppercase"], AddressParser(), gaz,
+        out2 = apply_transformers(rows, ["uppercase"], AddressParser(), gaz,
                                   PipelineConfig())
         assert len(out2) == 0
         # custom step also runs inside a full cascade config
@@ -51,6 +54,53 @@ def test_register_custom_transformer_in_cascade():
     finally:
         TRANSFORMER_REGISTRY.pop("stripmarker", None)
         TRANSFORMER_REGISTRY.pop("uppercase", None)
+
+
+def test_registered_transformer_adapter_maps_rows_by_addr_key(monkeypatch):
+    """The adapter maps a registered transformer's rows back by
+    addr_key: reversed rows, a dropped row and a stray column give the
+    same cascade rows as the order-preserving transformer; rows it left
+    unchanged are filtered; an addr_key it was not given fails the
+    step."""
+    from georay.cascade import process_addresses_df
+    gaz = get_gazetteer(SPEC)
+    streets = gaz.places[gaz.places.place_rank == 26].head(4)
+    df = pd.DataFrame([{"addr_key": f"k{i}", STREET: s["name"] + " ZZZ",
+                        HOUSENBR: "4", "post_code": s["post_code"],
+                        "post_name": s["post_name"],
+                        "country_name": "Belgium"}
+                       for i, (_, s) in enumerate(streets.iterrows())])
+
+    def strip(d):                 # drops the first row, strips the marker
+        d = d.iloc[1:].copy()
+        d[STREET] = d[STREET].str.replace(" ZZZ", "", regex=False)
+        return d
+
+    def run(fn):
+        monkeypatch.setitem(TRANSFORMER_REGISTRY, "custom", fn)
+        stats = []
+        out = process_addresses_df(
+            df, gaz, AddressParser(),
+            PipelineConfig(cascade=[["custom"]], with_cascade_memo=False),
+            stats_out=stats)
+        return out, stats[0]
+
+    plain, st_plain = run(lambda d, *a: strip(d))
+    shuffled, st_shuffled = run(
+        lambda d, *a: strip(d).iloc[::-1].assign(stray=1.5))
+    pd.testing.assert_frame_equal(plain, shuffled)
+    assert st_plain == {**st_shuffled, "seconds": st_plain["seconds"]}
+    matched = plain[plain.status == "match"]
+    assert list(matched["addr_key"]) == ["k1", "k2", "k3"]
+    assert set(matched["m_method"]) == {"custom"}
+    assert list(matched[STREET]) == list(df[STREET][1:])   # inputs restored
+
+    upper, st_upper = run(
+        lambda d, *a: d.assign(**{STREET: d[STREET].str.upper()}))
+    assert st_upper["sent"] == 0 and set(upper.status) == {"unmatched"}
+
+    stray, _ = run(lambda d, *a: d.assign(addr_key=d["addr_key"] + 100))
+    assert set(stray["m_method"]) == {"error on custom: ValueError"}
 
 
 def test_register_rejects_builtin_collision():

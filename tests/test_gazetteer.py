@@ -433,7 +433,7 @@ def test_candidate_frame_matches_per_candidate_shaping(check_results,
                        (texts, [GAZ.parse_parts(t) for t in texts])):
         lab, keep = np.unique(lab, return_index=True)
         lab, parts = list(lab), [parts[i] for i in keep]
-        got = _explode_candidates(lab, parts, GAZ, cfg)
+        got = pd.DataFrame(_explode_candidates(lab, parts, GAZ, cfg)[1])
         want = _reference_frame(lab, parts, cfg)
         assert len(got) > 100 and (got["n_place_rank"] == 30).any()
         pd.testing.assert_frame_equal(got, want)

@@ -22,6 +22,7 @@ def test_miss_probe_prints_hit_and_miss_cpu():
     assert out["hits"] + out["misses"] == 16
     assert out["hits"] >= 8 and out["misses"] >= 1
     assert 0 < out["hit_cpu_ms"] and 0 < out["miss_cpu_ms"]
+    assert 0 < out["hit_cpu_ms_p50"] and 0 < out["miss_cpu_ms_p50"]
 
 
 def test_miss_probe_rejects_more_misses_than_the_pool_holds():
