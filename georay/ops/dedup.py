@@ -9,19 +9,25 @@ Physical plans (the 100 TB story):
 - MinHash-LSH: signatures are computed map-side (vectorized k-permutation
   min-hash over word shingles); each row emits its (band_id, band_hash)
   bucket keys; the only shuffle groups by bucket.  Candidate pairs are
-  verified with the exact shingle Jaccard INSIDE the bucket group — never
-  a cross-dataset join.
+  verified INSIDE the bucket group — never a cross-dataset join.
 - SimHash: 64-bit signature map-side; bucket on 4 × 16-bit chunks (two
   signatures within Hamming distance ≤3 share ≥1 chunk — pigeonhole);
   verify Hamming distance in-group.
+- n-gram Jaccard: MinHash-LSH buckets, verified by the exact shingle-set
+  Jaccard in-group.
 - embedding cosine: random-hyperplane LSH buckets map-side, exact cosine
   verify in-group (see ops/similarity.py for the search variant).
+
+The MinHash, SimHash and n-gram verify is one pass per partition, not a
+loop per bucket member: every candidate pair is enumerated at once as two
+index arrays (``_bucket_pairs``) and scored in fixed chunks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -30,6 +36,7 @@ import pyarrow as pa
 import ray.data
 
 from .._workergc import default_gc
+from ..gazetteer import concat_ranges
 
 _WORD = re.compile(r"\w+", re.U)
 
@@ -114,14 +121,123 @@ def _id_type(series: pd.Series) -> pa.DataType:
     return pa.from_numpy_dtype(series.dtype)
 
 
-def _pairs_table(rows: list[tuple], id_t: pa.DataType, extra_name: str,
+def _pairs_table(id_a, id_b, id_t: pa.DataType, extra_name: str, extra,
                  extra_t: pa.DataType) -> pa.Table:
     """Typed (id_a, id_b, <extra>) table — explicit types so empty
     partitions keep the stream schema stable (no null-typed blocks)."""
-    return pa.table({
-        "id_a": pa.array([r[0] for r in rows], id_t),
-        "id_b": pa.array([r[1] for r in rows], id_t),
-        extra_name: pa.array([r[2] for r in rows], extra_t)})
+    return pa.table({"id_a": pa.array(id_a, id_t),
+                     "id_b": pa.array(id_b, id_t),
+                     extra_name: pa.array(extra, extra_t)})
+
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+_PAIR_CHUNK = 2048   # candidate pairs scored per gather
+
+
+def _band_keys(sig: np.ndarray, bands: int) -> np.ndarray:
+    """int64 LSH bucket key of every (band, doc), band-major: a
+    multiplicative mix of the band's signature chunk (a 64-bit collision
+    merely merges two buckets; the in-group verify keeps the pair set
+    right).  uint64 ARRAY arithmetic wraps silently, a scalar warns."""
+    n = len(sig)
+    r = sig.shape[1] // bands
+    chunks = sig[:, :bands * r].reshape(n, bands, r)
+    h = np.repeat(np.arange(1, bands + 1, dtype=np.uint64)[:, None] * _MIX,
+                  n, axis=1)
+    for j in range(r):
+        h = (h ^ chunks[:, :, j].T) * _MIX
+    return h.ravel().astype(np.int64)
+
+
+def _bucket_runs(ids: np.ndarray, bkt: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """A partition's bucket rows sorted by (bucket, id), repeated
+    (bucket, id) rows dropped: ``(rows, sizes)``, the input positions of
+    the kept rows in that order and the size of each bucket run."""
+    order = np.lexsort((ids, bkt))
+    ids, bkt = ids[order], bkt[order]
+    new_bkt = np.ones(len(bkt), bool)
+    new_bkt[1:] = bkt[1:] != bkt[:-1]
+    keep = new_bkt.copy()
+    keep[1:] |= ids[1:] != ids[:-1]
+    return order[keep], np.diff(np.r_[np.flatnonzero(new_bkt[keep]),
+                                      int(keep.sum())])
+
+
+def _bucket_pairs(ids: np.ndarray, bkt: np.ndarray, cap: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Every candidate pair of a partition's buckets at once, as input
+    positions ``(left, right)``.  A row at offset r of a bucket of m
+    rows pairs with the m-1-r rows after it; in a bucket over ``cap``
+    rows only the hub (the minimum id) pairs, with all m-1 others.  The
+    order is bucket, then left row, then right row — the order of a
+    nested loop over each bucket."""
+    rows, sizes = _bucket_runs(ids, bkt)
+    pos = np.arange(len(rows))
+    m = np.repeat(sizes, sizes)
+    off = pos - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cnt = np.where(m > cap, np.where(off == 0, m - 1, 0), m - 1 - off)
+    return np.repeat(rows, cnt), rows[concat_ranges(pos + 1, cnt)]
+
+
+def _score(left: np.ndarray, right: np.ndarray, fn, dtype) -> np.ndarray:
+    """``fn(left, right)`` in fixed chunks: small gathered operands."""
+    out = np.empty(len(left), dtype)
+    for lo in range(0, len(left), _PAIR_CHUNK):
+        hi = lo + _PAIR_CHUNK
+        out[lo:hi] = fn(left[lo:hi], right[lo:hi])
+    return out
+
+
+def _verify_minhash(df: pd.DataFrame, id_col: str, k: int,
+                    threshold: float, max_bucket: int) -> pa.Table:
+    """``minhash_lsh_pairs`` verify: share of equal signature slots."""
+    ids = df[id_col].to_numpy()
+    left, right = _bucket_pairs(ids, df["bucket"].to_numpy(), max_bucket)
+    sigs = np.frombuffer(b"".join(df["minhash"].to_numpy()),
+                         dtype=np.uint64).reshape(-1, k)
+    est = _score(left, right,
+                 lambda a, b: (sigs[a] == sigs[b]).sum(1) / k, np.float64)
+    hit = est >= threshold
+    return _pairs_table(ids[left[hit]], ids[right[hit]],
+                        _id_type(df[id_col]), "est_jaccard", est[hit],
+                        pa.float64())
+
+
+def _verify_simhash(df: pd.DataFrame, id_col: str, max_hamming: int,
+                    max_bucket: int) -> pa.Table:
+    """``simhash_pairs`` verify: Hamming distance of the signatures."""
+    ids = df[id_col].to_numpy()
+    left, right = _bucket_pairs(ids, df["bucket"].to_numpy(), max_bucket)
+    vals = df["simhash"].to_numpy().astype(np.uint64)
+    ham = _score(left, right, lambda a, b: _popcount64(vals[a] ^ vals[b]),
+                 np.int64)
+    hit = ham <= max_hamming
+    return _pairs_table(ids[left[hit]], ids[right[hit]],
+                        _id_type(df[id_col]), "hamming", ham[hit],
+                        pa.int64())
+
+
+def _verify_ngram(df: pd.DataFrame, id_col: str, threshold: float,
+                  max_bucket: int) -> pa.Table:
+    """``ngram_jaccard_pairs`` verify: exact shingle-set Jaccard, each
+    row's set built once per partition."""
+    ids = df[id_col].to_numpy()
+    left, right = _bucket_pairs(ids, df["bucket"].to_numpy(), max_bucket)
+    sh = df["shingles"].to_numpy()
+    sets = {i: set(sh[i].tolist())
+            for i in np.unique(np.r_[left, right]).tolist()}
+    jac = []
+    for i, j in zip(left.tolist(), right.tolist()):
+        inter = len(sets[i] & sets[j])
+        union = len(sets[i]) + len(sets[j]) - inter
+        jac.append(inter / union if union else 0.0)
+    jac = np.array(jac, dtype=np.float64)
+    hit = jac >= threshold
+    return _pairs_table(ids[left[hit]], ids[right[hit]],
+                        _id_type(df[id_col]), "jaccard",
+                        [round(x, 6) for x in jac[hit].tolist()],
+                        pa.float64())
 
 
 class MinHasher:
@@ -233,76 +349,25 @@ def minhash_lsh_pairs(ds: "ray.data.Dataset", bands: int = 16, k: int = 64,
     id.  Output stays linear in the bucket size and duplicate groups
     remain connected through the hub, at the cost of not enumerating
     every intra-group pair (explicit cap, not a silent one)."""
-    rows_per_band = k // bands
-    _MIX = np.uint64(0x9E3779B97F4A7C15)
-
     def to_buckets(batch: pa.Table) -> pa.Table:
-        """One output row per (doc, band): vectorized int64 band key (a
-        multiplicative mix of the band's signature chunk — no per-row
-        md5; a 64-bit collision merely merges two buckets, and the exact
-        in-group verify keeps the pair set correct) + the signature as a
-        512-byte binary (k little-endian uint64) — far cheaper through
-        the shuffle and the pandas boundary than list<int64>."""
+        """One output row per (doc, band): the band key + the signature
+        as a 512-byte binary (k little-endian uint64) — far cheaper
+        through the shuffle and the pandas boundary than list<int64>."""
         default_gc()
         hasher = get_minhasher(k=k, shingle_n=shingle_n)
-        texts = batch[text_col].to_pylist()
-        n = len(texts)
-        sig = hasher.signatures_batch(texts)
+        sig = hasher.signatures_batch(batch[text_col].to_pylist())
         ids_np = batch[id_col].to_numpy(zero_copy_only=False)
-        bkts = np.empty(n * bands, dtype=np.uint64)
-        for b in range(bands):
-            h = np.full(n, np.uint64(b + 1) * _MIX, dtype=np.uint64)
-            for j in range(b * rows_per_band, (b + 1) * rows_per_band):
-                h = (h ^ sig[:, j]) * _MIX
-            bkts[b * n:(b + 1) * n] = h
         sig_bytes = [s.tobytes() for s in sig]
         return pa.table({id_col: pa.array(np.tile(ids_np, bands)),
-                         "bucket": pa.array(bkts.astype(np.int64)),
+                         "bucket": pa.array(_band_keys(sig, bands)),
                          "minhash": pa.array(sig_bytes * bands,
                                              pa.binary())})
 
     buckets = ds.map_batches(to_buckets, batch_format="pyarrow")
-
-    def per_partition(df: pd.DataFrame) -> pa.Table:
-        """Contiguous-slice group scan instead of pandas groupby: with
-        hundreds of thousands of tiny buckets the per-group pandas
-        overhead (sort_values + tolist per bucket) dominated by 10×."""
-        ids_all = df[id_col].to_numpy()
-        bkt = df["bucket"].to_numpy()
-        mh = df["minhash"].to_numpy()
-        order = np.lexsort((ids_all, bkt))
-        ids_all, bkt, mh = ids_all[order], bkt[order], mh[order]
-        dup = np.r_[False, (bkt[1:] == bkt[:-1])
-                    & (ids_all[1:] == ids_all[:-1])]
-        if dup.any():
-            keep = ~dup
-            ids_all, bkt, mh = ids_all[keep], bkt[keep], mh[keep]
-        starts = np.flatnonzero(np.r_[True, bkt[1:] != bkt[:-1]])
-        ends = np.r_[starts[1:], len(bkt)]
-        sizes = ends - starts
-        out = []
-        for gi in np.flatnonzero(sizes >= 2):
-            s, e = int(starts[gi]), int(ends[gi])
-            m = e - s
-            sigs = np.frombuffer(b"".join(mh[s:e]),
-                                 dtype=np.uint64).reshape(m, k)
-            ids = ids_all[s:e]
-            if m > max_bucket:   # hub-and-spoke for mega-buckets
-                hub = sigs[0]
-                est = (sigs[1:] == hub[None, :]).mean(axis=1)
-                for off in np.flatnonzero(est >= threshold):
-                    out.append((ids[0], ids[1 + off], float(est[off])))
-            else:
-                for i in range(m):
-                    sim = (sigs[i + 1:] == sigs[i][None, :]).mean(axis=1)
-                    for off in np.flatnonzero(sim >= threshold):
-                        out.append((ids[i], ids[i + 1 + off],
-                                    float(sim[off])))
-        return _pairs_table(out, _id_type(df[id_col]), "est_jaccard",
-                            pa.float64())
-
     from ..shuffle import grouped_map
-    pairs = grouped_map(buckets, "bucket", per_partition, group_fn=False)
+    pairs = grouped_map(buckets, "bucket", partial(
+        _verify_minhash, id_col=id_col, k=k, threshold=threshold,
+        max_bucket=max_bucket), group_fn=False)
     # same pair surfaces from several bands -> one-pass partitioned
     # distinct (values identical per pair)
     from ..shuffle import distinct_on
@@ -409,35 +474,10 @@ def simhash_pairs(ds: "ray.data.Dataset", max_hamming: int = 3,
                              np.tile(s.astype(np.int64), 4))})
 
     buckets = ds.map_batches(to_buckets, batch_format="pyarrow")
-
-    def per_partition(df: pd.DataFrame) -> pa.Table:
-        ids_all = df[id_col].to_numpy()
-        bkt = df["bucket"].to_numpy()
-        vals = df["simhash"].to_numpy()
-        order = np.lexsort((ids_all, bkt))
-        ids_all, bkt, vals = ids_all[order], bkt[order], vals[order]
-        dup = np.r_[False, (bkt[1:] == bkt[:-1])
-                    & (ids_all[1:] == ids_all[:-1])]
-        if dup.any():
-            keep = ~dup
-            ids_all, bkt, vals = ids_all[keep], bkt[keep], vals[keep]
-        starts = np.flatnonzero(np.r_[True, bkt[1:] != bkt[:-1]])
-        ends = np.r_[starts[1:], len(bkt)]
-        out = []
-        for gi in np.flatnonzero((ends - starts) >= 2):
-            s, e = int(starts[gi]), int(ends[gi])
-            v = vals[s:e].astype(np.uint64)
-            ids = ids_all[s:e]
-            m = e - s
-            upper = 1 if m > max_bucket else m
-            for i in range(upper):
-                ham = _popcount64(v[i] ^ v[i + 1:])
-                for off in np.flatnonzero(ham <= max_hamming):
-                    out.append((ids[i], ids[i + 1 + off], int(ham[off])))
-        return _pairs_table(out, _id_type(df[id_col]), "hamming", pa.int64())
-
     from ..shuffle import grouped_map
-    pairs = grouped_map(buckets, "bucket", per_partition, group_fn=False)
+    pairs = grouped_map(buckets, "bucket", partial(
+        _verify_simhash, id_col=id_col, max_hamming=max_hamming,
+        max_bucket=max_bucket), group_fn=False)
     from ..shuffle import distinct_on
     return distinct_on(pairs, ["id_a", "id_b"])
 
@@ -448,10 +488,8 @@ def ngram_jaccard_pairs(ds: "ray.data.Dataset", threshold: float = 0.6,
                         ) -> "ray.data.Dataset":
     """EXACT n-gram Jaccard >= threshold pairs; candidates from MinHash-LSH
     buckets (recall limited by LSH — documented), verified by exact
-    shingle-set Jaccard inside the group."""
-    rows_per_band = k // bands
-    _MIX = np.uint64(0x9E3779B97F4A7C15)
-
+    shingle-set Jaccard inside the group; a bucket over 256 rows
+    falls back to hub-and-spoke (see minhash_lsh_pairs)."""
     def to_buckets(batch: pa.Table) -> pa.Table:
         default_gc()
         from .md5vec import md5_u64_le_ranges
@@ -465,53 +503,17 @@ def ngram_jaccard_pairs(ds: "ray.data.Dataset", threshold: float = 0.6,
         shingles = [np.unique(hashes[bounds[i]:bounds[i + 1]]).tolist()
                     for i in range(n)]
         ids_np = batch[id_col].to_numpy(zero_copy_only=False)
-        bkts = np.empty(n * bands, dtype=np.uint64)
-        for b in range(bands):   # vectorized band keys (see minhash)
-            h = np.full(n, np.uint64(b + 1) * _MIX, dtype=np.uint64)
-            for j in range(b * rows_per_band, (b + 1) * rows_per_band):
-                h = (h ^ sig[:, j]) * _MIX
-            bkts[b * n:(b + 1) * n] = h
         # uint64: md5-based shingle hashes use the full 64-bit range
         return pa.table({id_col: pa.array(np.tile(ids_np, bands)),
-                         "bucket": pa.array(bkts.astype(np.int64)),
+                         "bucket": pa.array(_band_keys(sig, bands)),
                          "shingles": pa.array(shingles * bands,
                                               pa.list_(pa.uint64()))})
 
     buckets = ds.map_batches(to_buckets, batch_format="pyarrow")
-
-    def per_partition(df: pd.DataFrame) -> pa.Table:
-        ids_all = df[id_col].to_numpy()
-        bkt = df["bucket"].to_numpy()
-        sh = df["shingles"].to_numpy()
-        order = np.lexsort((ids_all, bkt))
-        ids_all, bkt, sh = ids_all[order], bkt[order], sh[order]
-        dup = np.r_[False, (bkt[1:] == bkt[:-1])
-                    & (ids_all[1:] == ids_all[:-1])]
-        if dup.any():
-            keep = ~dup
-            ids_all, bkt, sh = ids_all[keep], bkt[keep], sh[keep]
-        starts = np.flatnonzero(np.r_[True, bkt[1:] != bkt[:-1]])
-        ends = np.r_[starts[1:], len(bkt)]
-        out = []
-        for gi in np.flatnonzero((ends - starts) >= 2):
-            s, e = int(starts[gi]), int(ends[gi])
-            ids = ids_all[s:e]
-            sets = [set(x.tolist() if hasattr(x, "tolist") else x)
-                    for x in sh[s:e]]
-            m = e - s
-            upper = 1 if m > 256 else m  # hub-and-spoke guard
-            for i in range(upper):
-                for j in range(i + 1, m):
-                    inter = len(sets[i] & sets[j])
-                    union = len(sets[i] | sets[j])
-                    jac = inter / union if union else 0.0
-                    if jac >= threshold:
-                        out.append((ids[i], ids[j], round(jac, 6)))
-        return _pairs_table(out, _id_type(df[id_col]), "jaccard",
-                            pa.float64())
-
     from ..shuffle import grouped_map
-    pairs = grouped_map(buckets, "bucket", per_partition, group_fn=False)
+    pairs = grouped_map(buckets, "bucket", partial(
+        _verify_ngram, id_col=id_col, threshold=threshold, max_bucket=256),
+        group_fn=False)
     from ..shuffle import distinct_on
     return distinct_on(pairs, ["id_a", "id_b"])
 
@@ -548,21 +550,15 @@ def embedding_dup_pairs(ds: "ray.data.Dataset", threshold: float = 0.95,
     buckets = ds.map_batches(to_buckets, batch_format="pyarrow")
 
     def per_partition(df: pd.DataFrame) -> pa.Table:
+        """Per bucket: one ``vn @ vn.T`` (BLAS block shape sets the
+        cosine bits, so the buckets are not batched together)."""
         ids_all = df[id_col].to_numpy()
-        bkt = df["bucket"].to_numpy()
-        vecs = df[vec_col].to_numpy()
-        order = np.lexsort((ids_all, bkt))
-        ids_all, bkt, vecs = ids_all[order], bkt[order], vecs[order]
-        dup = np.r_[False, (bkt[1:] == bkt[:-1])
-                    & (ids_all[1:] == ids_all[:-1])]
-        if dup.any():
-            keep = ~dup
-            ids_all, bkt, vecs = ids_all[keep], bkt[keep], vecs[keep]
-        starts = np.flatnonzero(np.r_[True, bkt[1:] != bkt[:-1]])
-        ends = np.r_[starts[1:], len(bkt)]
+        rows, sizes = _bucket_runs(ids_all, df["bucket"].to_numpy())
+        ids_all, vecs = ids_all[rows], df[vec_col].to_numpy()[rows]
+        ends = np.cumsum(sizes)
         out = []
-        for gi in np.flatnonzero((ends - starts) >= 2):
-            s, e = int(starts[gi]), int(ends[gi])
+        for gi in np.flatnonzero(sizes >= 2):
+            s, e = int(ends[gi] - sizes[gi]), int(ends[gi])
             v = np.stack(vecs[s:e]).astype(np.float64)
             vn = v / np.maximum(np.linalg.norm(v, axis=1, keepdims=True),
                                 1e-12)
@@ -577,7 +573,8 @@ def embedding_dup_pairs(ds: "ray.data.Dataset", threshold: float = 0.95,
                 ii, jj = np.where(np.triu(sim, 1) >= threshold)
                 for i, j in zip(ii, jj):
                     out.append((ids[i], ids[j], round(float(sim[i, j]), 6)))
-        return _pairs_table(out, _id_type(df[id_col]), "cosine",
+        a, b, cos = zip(*out) if out else ((), (), ())
+        return _pairs_table(a, b, _id_type(df[id_col]), "cosine", cos,
                             pa.float64())
 
     from ..shuffle import grouped_map

@@ -6,9 +6,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from georay import cascade, compare
 from georay.cascade import process_addresses_df
 from georay.config import (ADDR_KEY, CITY, COUNTRY, HOUSENBR, INPUT_FIELDS,
-                           POSTCODE, STREET, PipelineConfig)
+                           M_REJECT_REASON, POSTCODE, STREET,
+                           PipelineConfig)
 from georay.corpus import make_addresses
 from georay.gazetteer import GazetteerSpec, get_gazetteer
 from georay.parser import AddressParser
@@ -126,23 +128,48 @@ def test_misspelling_recovered_by_photon_step(world):
     assert "photon" in m.iloc[0]["m_method"]
 
 
-def test_parent_rescue_on_dutch_only_road(world):
-    spec, gaz, parser, cfg = world
+def test_parent_rescue_on_dutch_only_road(world, monkeypatch):
+    spec, gaz, parser, _ = world
     # variant-9 streets: road reported NL-only but name_fr exists
     cand = gaz.places[(gaz.places.place_rank == 26)
                       & (gaz.places.name_fr != "")
                       & (gaz.places.street_name == gaz.places.name_nl)]
     assert len(cand) > 0, "synthetic world must contain NL-only-road streets"
     st = cand.iloc[0]
-    out = _run(world, [_addr("k1", st["name_fr"], "4", st["post_code"],
-                             st["post_name"])])
-    m = out[out.status == "match"]
-    assert len(m) == 1
-    # matched the building whose road is the Dutch name -> only possible
-    # via the parent-place alt-name rescue (check_result_utils.py:560-644)
-    assert m.iloc[0]["m_method"] == "orig"
-    assert m.iloc[0]["m_place_rank"] == 30
-    assert m.iloc[0]["o_street_name"] == st["name_nl"]
+    # street similarity as case-insensitive equality: the French name
+    # then fails the comparator against the building's Dutch road, so
+    # only the parent-place alt-name rescue (check_result_utils.py:
+    # 560-644) can keep the building
+    monkeypatch.setattr(compare, "street_similarity",
+                        lambda a, b: float(a.lower() == b.lower()))
+    mismatches = []
+    rescue = cascade._match_parent
+
+    def spy(keep, reject, *args):
+        mismatches.append(int((reject[M_REJECT_REASON] == "mismatch").sum()))
+        return rescue(keep, reject, *args)
+
+    monkeypatch.setattr(cascade, "_match_parent", spy)
+    match = {}
+    for use_parent in (True, False):
+        monkeypatch.setattr(gaz, "_cascade_memo", {}, raising=False)
+        mismatches.clear()
+        out = process_addresses_df(
+            pd.DataFrame([_addr("k1", st["name_fr"], "4", st["post_code"],
+                                st["post_name"])]),
+            gaz, parser, PipelineConfig(use_osm_parent=use_parent))
+        m = out[out.status == "match"]
+        assert len(m) == 1
+        match[use_parent] = m.iloc[0]
+        # the rescue ran on a mismatch reject, and only with the flag
+        assert (max(mismatches, default=0) >= 1) == use_parent
+    # the building whose road is the Dutch name, at orig
+    assert match[True]["m_method"] == "orig"
+    assert match[True]["m_place_rank"] == 30
+    assert match[True]["o_street_name"] == st["name_nl"]
+    # without the rescue the address falls through to the city
+    assert match[False]["m_method"] == "nostreet"
+    assert match[False]["m_place_rank"] == 16
 
 
 def test_rejects_have_distance_to_match(world):

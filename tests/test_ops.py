@@ -244,6 +244,20 @@ def test_embedding_dup_pairs_hub_cap(ray_session):
     assert (pairs["id_a"] == 0).all()  # hub = minimum id
 
 
+@pytest.mark.parametrize("op", [minhash_lsh_pairs, simhash_pairs])
+def test_text_dup_pairs_hub_cap(ray_session, op):
+    # 70 copies of one text fill one bucket per band: past max_bucket
+    # only the hub (the minimum id) pairs; under it, every pair does
+    ds = ray.data.from_items(
+        [{"doc_id": i, "text": "rue de la loi 16 1000 bruxelles"}
+         for i in range(70)])
+    hub = op(ds, max_bucket=64).to_pandas()
+    assert len(hub) == 69
+    assert (hub["id_a"] == 0).all() and sorted(hub["id_b"]) == list(
+        range(1, 70))
+    assert len(op(ds, max_bucket=128).to_pandas()) == 70 * 69 // 2
+
+
 def test_knn_graph_matches_numpy(embeds):
     from georay.ops.similarity import knn_graph
     pdf = pq.read_table(f"{SF}/embeddings.parquet").to_pandas()
