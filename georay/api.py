@@ -118,9 +118,7 @@ def _nested_rows(tbl: pa.Table, leaves: list[tuple[str, str, str]]
     return rows
 
 
-def validate_geocode_args(mode: str = "short", with_rejected: bool = False,
-                          check_result: bool = True,
-                          extra_house_number: bool = True) -> None:
+def validate_geocode_args(mode: str) -> None:
     """Pre-flight arg validation (nominatimwrapper.py:549-603)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -255,8 +253,7 @@ def geocode_one(data: dict, mode: str = "short", with_rejected: bool = True,
     fastmode tries a direct call first; otherwise the full cascade runs
     on a 1-row batch.  Accepts ``full_address`` free-text input with the
     reference's mutual-exclusion rules (see resolve_input_fields)."""
-    validate_geocode_args(mode, with_rejected, check_result,
-                          extra_house_number)
+    validate_geocode_args(mode)
     data = resolve_input_fields(
         data, check_result,
         osm_structured=bool(cfg and cfg.osm_structured))
@@ -302,8 +299,7 @@ def batch_geocode(payload: list[dict], mode: str = "short",
     nominatimwrapper.py:709-855): mandatory-field check, duplicate-key
     rejection, cascade, per-mode projection.  For payloads beyond memory
     use ``pipeline.geocode_addresses`` on a Dataset instead."""
-    validate_geocode_args(mode, with_rejected, check_result,
-                          extra_house_number)
+    validate_geocode_args(mode)
     if not payload:
         raise ValueError("empty payload")
     payload = [resolve_input_fields(

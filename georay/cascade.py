@@ -33,7 +33,6 @@ splits on " - " and takes a max, so scores are unaffected.
 from __future__ import annotations
 
 import re
-import time
 from itertools import repeat
 
 import numpy as np
@@ -389,42 +388,30 @@ def _retry_low_place_rank(keep: dict, sent: AddressRows, gazetteer,
 
 def _transform_and_process(todo: AddressRows, transformers: list[str],
                            gazetteer, parser, cfg: PipelineConfig
-                           ) -> tuple[dict, dict, dict]:
+                           ) -> tuple[dict, dict]:
     """One cascade step (utils.py:589-688) → (matched rows, rejected
-    rows, step stats).  Each row echoes the exact four strings the
-    comparator saw (``CMP_FIELDS``; the cleansed-hn retry's digits-only
-    house number included), which make every cascade method
-    SQL-scorable downstream (the adjudication / selection oracles read
-    them as snapshot params)."""
-    stats = {"method": "+".join(transformers), "todo": len(todo), "sent": 0,
-             "match": 0, "match_26": 0, "reject_rec": 0, "reject_addr": 0,
-             "reject_mism": 0}
+    rows).  Each row echoes the exact four strings the comparator saw
+    (``CMP_FIELDS``; the cleansed-hn retry's digits-only house number
+    included), which make every cascade method SQL-scorable downstream
+    (the adjudication / selection oracles read them as snapshot params).
+    The reference's step counters are derived from these rows
+    afterwards (``stepstats``)."""
     if not len(todo):
-        return _no_rows(), _no_rows(), stats
+        return _no_rows(), _no_rows()
     sent = apply_transformers(todo, transformers, parser, gazetteer, cfg)
     if not len(sent):
-        return _no_rows(), _no_rows(), stats
+        return _no_rows(), _no_rows()
     labels = assemble_full_address(sent.fields)
     if not cfg.check_with_transformed:
         # validate against the step's input, not the transformed fields
         sent = AddressRows(sent.idx, todo.take(
             np.searchsorted(todo.idx, sent.idx)).fields)
-    stats["sent"] = len(sent)
     keep, reject = _process_osm(sent, labels, gazetteer, cfg,
                                 cfg.check_results)
     if cfg.with_cleansed_number_on_26 and _nrows(keep):
         keep = _retry_low_place_rank(keep, sent, gazetteer, cfg,
                                      cfg.check_results)
-    # full reference step-stats parity (utils.py:678-686): cleansed-hn
-    # match count, distinct rejected addresses, distinct mismatches
-    mism = (reject[_REP][reject[M_REJECT_REASON] == "mismatch"]
-            if _nrows(reject) else reject[_REP])
-    stats.update(
-        match=_nrows(keep),
-        match_26=int(keep[M_CLEANSED_HN].sum()) if _nrows(keep) else 0,
-        reject_rec=_nrows(reject), reject_addr=len(np.unique(reject[_REP])),
-        reject_mism=len(np.unique(mism)))
-    return keep, reject, stats
+    return keep, reject
 
 
 def _extra_house_number(fields: dict, rep: np.ndarray, parser) -> dict:
@@ -499,9 +486,12 @@ def _result_table(fields: dict, matches: list[dict], rejects: list[dict],
             np.bincount(rep, minlength=n))
 
 
+# a failed step labels its rows "error on <method>: <exception type>"
+ERROR_ON = "error on "
+
+
 def _run_cascade(fields: dict[str, np.ndarray], gazetteer, parser,
-                 cfg: PipelineConfig, stats_out: list | None = None
-                 ) -> tuple[pa.Table, np.ndarray]:
+                 cfg: PipelineConfig) -> tuple[pa.Table, np.ndarray]:
     """The cascade over representative rows → (their result rows grouped
     by representative in order, row count per representative).
 
@@ -513,22 +503,14 @@ def _run_cascade(fields: dict[str, np.ndarray], gazetteer, parser,
     built once at the end (``_result_table``)."""
     todo = AddressRows(np.arange(len(fields[STREET])), fields)
     matches, rejects = [], []
-    for step_idx, transformers in enumerate(cfg.cascade):
-        t0 = time.perf_counter()
+    for transformers in cfg.cascade:
         method = "+".join(transformers)
         try:
-            keep, reject, stats = _transform_and_process(
+            keep, reject = _transform_and_process(
                 todo, transformers, gazetteer, parser, cfg)
         except Exception as exc:  # step failure labels, never kills (utils.py:1255-1261)
             keep, reject = {_REP: todo.idx}, _no_rows()
-            stats = {"method": method, "todo": len(todo), "sent": 0,
-                     "match": len(todo), "match_26": 0, "reject_rec": 0,
-                     "reject_addr": 0, "reject_mism": 0}
-            method = f"error on {method}: {type(exc).__name__}"
-        if stats_out is not None:
-            stats["step"] = step_idx
-            stats["seconds"] = round(time.perf_counter() - t0, 6)
-            stats_out.append(stats)
+            method = f"{ERROR_ON}{method}: {type(exc).__name__}"
         keep[M_METHOD] = np.full(_nrows(keep), method, dtype=object)
         matches.append(keep)
         if cfg.with_rejected and _nrows(reject):
@@ -640,7 +622,7 @@ def _memo_results(inputs: pa.Table, store: _ResultStore, gazetteer, parser,
             _field_arrays(inputs.take(rep_rows)), gazetteer, parser, cfg)
         local_start = np.cumsum(counts) - counts
         ok, good = np.arange(len(counts)), local
-        failed = pc.starts_with(local[M_METHOD], "error on ")
+        failed = pc.starts_with(local[M_METHOD], ERROR_ON)
         if pc.any(failed).as_py():
             ok = np.setdiff1d(ok, np.repeat(ok, counts)[failed.to_numpy()])
             good = local.take(concat_ranges(local_start[ok], counts[ok]))
@@ -672,20 +654,19 @@ def _memo_results(inputs: pa.Table, store: _ResultStore, gazetteer, parser,
     return pa.concat_tables(parts).take(pos), lens
 
 
-def _geocode_table(inputs: pa.Table, gazetteer, parser, cfg: PipelineConfig,
-                   stats_out: list | None = None
+def _geocode_table(inputs: pa.Table, gazetteer, parser, cfg: PipelineConfig
                    ) -> tuple[pa.Table, np.ndarray]:
     """Cascade over normalized Arrow inputs (addr_key + the five input
     fields, non-null strings) → (``RESULT_SCHEMA`` table, input row of
     each output row).  Output rows are grouped by input row, in input
-    order.  With the memo off, or for a ``stats_out`` pass, every row is
-    its own representative and nothing is kept."""
-    if cfg.with_cascade_memo and stats_out is None:
+    order.  With the memo off every row is its own representative and
+    nothing is kept."""
+    if cfg.with_cascade_memo:
         res, lens = _memo_results(inputs, _result_store(gazetteer, cfg),
                                   gazetteer, parser, cfg)
     else:
         res, lens = _run_cascade(_field_arrays(inputs), gazetteer, parser,
-                                 cfg, stats_out)
+                                 cfg)
     src = np.repeat(np.arange(inputs.num_rows), lens)
     return res.add_column(0, RESULT_SCHEMA.field(ADDR_KEY),
                           inputs[ADDR_KEY].take(src)), src
@@ -704,8 +685,7 @@ def _as_str(col) -> pa.ChunkedArray:
         col.to_pandas().fillna("").astype(str), pa.string())])
 
 
-def process_addresses_df(df, gazetteer, parser, cfg: PipelineConfig,
-                         stats_out: list | None = None):
+def process_addresses_df(df, gazetteer, parser, cfg: PipelineConfig):
     """Full cascade over one batch of addresses → fixed-schema rows, one
     per match/reject plus 'unmatched' stubs (utils.py:1195-1279), grouped
     by input row in input order.
@@ -713,13 +693,7 @@ def process_addresses_df(df, gazetteer, parser, cfg: PipelineConfig,
     ``df`` is a pandas frame or an Arrow table; the result has the same
     kind.  Columns other than addr_key and the five input fields pass
     through, each output row carrying the values of its OWN input row
-    (positional re-attach: a repeated addr_key cannot cross rows).
-
-    ``stats_out`` (optional list) receives one dict per executed cascade
-    step: {step, method, todo, sent, match, reject_rec, seconds} — the
-    reference's ``timestats``/step-stats analogue (base.py:275-301,
-    utils.py:678-686), surfaced instead of discarded.  Stats passes
-    bypass the result memo so counters reflect the real cascade."""
+    (positional re-attach: a repeated addr_key cannot cross rows)."""
     base_cols = [ADDR_KEY] + INPUT_FIELDS
     arrow = isinstance(df, pa.Table)
     if arrow:
@@ -729,7 +703,7 @@ def process_addresses_df(df, gazetteer, parser, cfg: PipelineConfig,
         inputs = pa.table({c: pa.array(_str_values(df[c]), pa.string())
                            for c in base_cols})
         extra = [c for c in df.columns if c not in base_cols]
-    res, src = _geocode_table(inputs, gazetteer, parser, cfg, stats_out)
+    res, src = _geocode_table(inputs, gazetteer, parser, cfg)
     if arrow:
         if not extra:
             return res
@@ -811,41 +785,6 @@ def address_cascade_fn(spec: GazetteerSpec | None = None,
     """Picklable stateless-task batch fn for the flat-address cascade."""
     get_worker = _worker_cascade(CascadeGeocoder, spec, cfg)
     return lambda batch: get_worker()(batch)
-
-
-STEP_STATS_SCHEMA = pa.schema([
-    ("step", pa.int64()), ("method", pa.string()), ("todo", pa.int64()),
-    ("sent", pa.int64()), ("match", pa.int64()), ("match_26", pa.int64()),
-    ("reject_rec", pa.int64()), ("reject_addr", pa.int64()),
-    ("reject_mism", pa.int64()), ("seconds", pa.float64())])
-
-
-def step_stats_fn(spec: GazetteerSpec | None = None,
-                  cfg: PipelineConfig | None = None,
-                  spans: bool = False):
-    """Stateless-task batch fn for a dedicated stats pass: runs the full
-    cascade per batch and emits ONE ROW PER CASCADE STEP with the
-    reference's timestats/step-stats counters (base.py:275-301 reset per
-    request; utils.py:678-686 todo/sent/match/reject) instead of the
-    geocode rows.  Aggregate with ``pipeline.step_stats``."""
-    get_worker = _worker_cascade(CascadeGeocoder, spec, cfg)
-
-    def fn(batch: pa.Table) -> pa.Table:
-        worker = get_worker()
-        if spans:
-            from .spans import explode_spans
-            batch = explode_spans(batch)
-            batch = batch.filter(batch["is_address"])
-        stats: list[dict] = []
-        if batch.num_rows:
-            process_addresses_df(batch.select([ADDR_KEY] + INPUT_FIELDS),
-                                 worker.gazetteer, worker.parser, worker.cfg,
-                                 stats_out=stats)
-        return pa.Table.from_pylist(
-            [{k: s.get(k) for k in STEP_STATS_SCHEMA.names} for s in stats],
-            schema=STEP_STATS_SCHEMA)
-
-    return fn
 
 
 class SpanCascadeGeocoder(CascadeGeocoder):

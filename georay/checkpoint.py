@@ -22,6 +22,10 @@ from typing import Callable
 
 import ray.data
 
+from .config import PipelineConfig
+from .stepstats import outcome_counters, outcome_counts
+from .tiles import rollup_counts_local
+
 
 def _fs_for(out_dir: str):
     """Resolve ``out_dir`` to (filesystem, root_path, is_uri): plain paths
@@ -93,24 +97,16 @@ class Manifest:
 def run_resumable(shards: list[tuple[str, Callable[[], "ray.data.Dataset"]]],
                   out_dir: str,
                   counters_fn: Callable[["ray.data.Dataset"], dict] | None = None,
-                  step_stats_builders: dict[str, Callable[[], "ray.data.Dataset"]] | None = None,
                   write_fn: Callable[["ray.data.Dataset", str], None] | None = None
                   ) -> Manifest:
     """Run each (partition_id, dataset_builder) shard to its own parquet
     partition directory, skipping shards the manifest already marks done.
 
     ``counters_fn`` (optional) computes per-partition metric counters from
-    the shard's output dataset (e.g. status counts) — stored in the
-    lineage record.
-
-    ``step_stats_builders`` (optional) maps partition_id -> a builder of
-    that shard's per-cascade-step stats Dataset (``pipeline.step_stats``:
-    one row per step with todo/sent/match/reject counters and wall
-    seconds).  When given, each lineage record carries a ``step_stats``
-    list, so a resumed run's manifest shows where the time and the
-    matches went per partition.  The stats pass re-runs the cascade
-    memo-free (stats must reflect the real per-step flow, not cache
-    hits), roughly doubling shard cost — an audit-run option.
+    the shard's output dataset (``status_counters``,
+    ``pipeline_counters``) — stored in the lineage record.  If it
+    raises, the error propagates and the partition gets no record, so a
+    resume re-runs (local) or adopts (URI) it.
 
     ``write_fn`` (optional) writes a Dataset to a directory path —
     defaults to ``Dataset.write_parquet``; pass ``tables.write_table``
@@ -157,18 +153,9 @@ def run_resumable(shards: list[tuple[str, Callable[[], "ray.data.Dataset"]]],
             out = ray.data.read_parquet(part_dir)
             rows = out.count()
         counters = counters_fn(out) if counters_fn else {}
-        extra: dict = {}
-        stats_build = (step_stats_builders or {}).get(partition_id)
-        if stats_build is not None:
-            sdf = stats_build().to_pandas().sort_values("step")
-            extra["step_stats"] = [
-                {k: (round(float(v), 6) if k == "seconds" else
-                     v if isinstance(v, str) else int(v))
-                 for k, v in rec.items()}
-                for rec in sdf.to_dict("records")]
         manifest.record(partition_id, rows=rows,
                         seconds=round(time.time() - t0, 3),
-                        path=part_dir, counters=counters, **extra)
+                        path=part_dir, counters=counters)
     return manifest
 
 
@@ -243,42 +230,20 @@ def _commit_uri_partition(fs, out_uri: str, root: str, partition_id: str,
     return out, out.count()
 
 
-def _rollup(ds: "ray.data.Dataset", col: str) -> dict:
-    import pyarrow as pa
-    from ray.data.aggregate import Sum
-
-    def fn(batch: pa.Table) -> pa.Table:
-        t = batch.group_by(col).aggregate([([], "count_all")])
-        return t.rename_columns([col, "n"])
-    pdf = (ds.map_batches(fn, batch_format="pyarrow")
-             .groupby(col).aggregate(Sum("n", alias_name="n"))
-             .to_pandas())
-    return {str(k): int(v) for k, v in zip(pdf[col], pdf["n"])}
-
-
 def status_counters(ds: "ray.data.Dataset") -> dict:
-    """Default per-partition counters: rows per status label (the
-    reference's step stats analogue, utils.py:678-686)."""
-    try:
-        return _rollup(ds, "status")
-    except Exception:
-        return {}
+    """Per-partition counters: rows per status label."""
+    df = rollup_counts_local(ds, "status")
+    return {str(k): int(v) for k, v in zip(df["status"], df["n"])}
 
 
-def pipeline_counters(ds: "ray.data.Dataset") -> dict:
-    """Lineage counters for a geocode-output partition: rows per status
-    AND per cascade step/method (match + reject counts by ``m_method``
-    — the per-step slice of the reference's step stats that is derivable
-    from the output rows; exact todo/sent per step come from the
-    dedicated ``pipeline.step_stats`` pass)."""
-    out: dict = {}
-    try:
-        out["status"] = _rollup(ds, "status")
-        import pyarrow.compute as pc
-        match = ds.map_batches(
-            lambda b: b.filter(pc.equal(b["status"], "match")),
-            batch_format="pyarrow")
-        out["match_by_method"] = _rollup(match, "m_method")
-    except Exception:
-        pass
-    return out
+def pipeline_counters(ds: "ray.data.Dataset",
+                      cfg: PipelineConfig | None = None) -> dict:
+    """Lineage counters of a geocode-output partition written under
+    ``cfg`` (default ``PipelineConfig()``), from one counting pass over
+    its rows: rows per status, match rows per ``m_method`` and the
+    per-step cascade table (``stepstats.outcome_counters``)."""
+    parts = ds.map_batches(outcome_counts, batch_format="pyarrow",
+                           batch_size=None)
+    return outcome_counters(
+        list(parts.iter_batches(batch_size=None, batch_format="pyarrow")),
+        cfg or PipelineConfig())

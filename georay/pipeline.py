@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import ray.data
 
-from .cascade import (address_cascade_fn, span_cascade_fn, step_stats_fn,
-                      worker_component)
+from .cascade import address_cascade_fn, span_cascade_fn, worker_component
+from .checkpoint import pipeline_counters
 from .config import PipelineConfig
 from .corpus import make_documents
 from .gazetteer import GazetteerSpec
@@ -129,29 +129,14 @@ def geocode_addresses(addrs: "ray.data.Dataset",
                              batch_size=batch_size)
 
 
-def step_stats(ds: "ray.data.Dataset",
-               spec: GazetteerSpec | None = None,
-               cfg: PipelineConfig | None = None,
-               spans: bool = False,
-               batch_size: int = 1024) -> "ray.data.Dataset":
-    """Per-step cascade statistics over a documents (``spans=True``) or
-    flat-address Dataset: one output row per cascade step with summed
-    todo/sent/match/reject counters and wall seconds — the reference's
-    ``timestats`` analogue (base.py:275-301), computed distributed
-    (per-batch partials, one tiny groupby over #steps rows per block)."""
-    from ray.data.aggregate import Sum
-
-    partials = ds.map_batches(step_stats_fn(spec, cfg, spans=spans),
-                              batch_format="pyarrow", batch_size=batch_size)
-    return (partials.groupby(["step", "method"])
-            .aggregate(Sum("todo", alias_name="todo"),
-                       Sum("sent", alias_name="sent"),
-                       Sum("match", alias_name="match"),
-                       Sum("match_26", alias_name="match_26"),
-                       Sum("reject_rec", alias_name="reject_rec"),
-                       Sum("reject_addr", alias_name="reject_addr"),
-                       Sum("reject_mism", alias_name="reject_mism"),
-                       Sum("seconds", alias_name="seconds")))
+def step_stats(results: "ray.data.Dataset",
+               cfg: PipelineConfig | None = None) -> list[dict]:
+    """Per-step cascade counters of a geocoded Dataset written under
+    ``cfg``: one record per step (todo / match / match_26 / errors /
+    reject_rec / reject_addr / reject_mism, see
+    ``stepstats.outcome_counters``), counted from its rows in one pass —
+    the cascade does not run again."""
+    return pipeline_counters(results, cfg)["step_stats"]
 
 
 def reassemble_documents(span_results: "ray.data.Dataset"

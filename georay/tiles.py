@@ -130,18 +130,6 @@ def rollup_counts_salted(ds: "ray.data.Dataset", key_col: str,
     return stage1.groupby(key_col).aggregate(Sum("n", alias_name="n"))
 
 
-def method_stats(ds: "ray.data.Dataset", method_col: str = "m_method"
-                 ) -> pd.DataFrame:
-    """Match-method distribution (the reference notebook's value_counts
-    eval, SURVEY.md §2.5 'method/match-rate stats')."""
-    def fn(batch: pa.Table) -> pa.Table:
-        t = batch.group_by(method_col).aggregate([([], "count_all")])
-        return t.rename_columns([method_col, "n"])
-    out = (ds.map_batches(fn, batch_format="pyarrow")
-             .groupby(method_col).aggregate(Sum("n", alias_name="n")))
-    return out.to_pandas()
-
-
 # ---------------------------------------------------------------------------
 # Spatial range join (radius join)
 # ---------------------------------------------------------------------------

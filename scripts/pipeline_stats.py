@@ -1,14 +1,15 @@
 """Observability for the flagship pipeline: per-operator Ray Data stats
-plus the reference-style per-step cascade counters (timestats analogue).
+plus the reference-style per-step cascade counters, both from ONE
+geocode run with the cascade memo on.
 
     python scripts/pipeline_stats.py [--docs 30000] [--num-cpus 16]
 
 Prints:
 - ds.stats() for the geocode pipeline (per-operator wall/cpu/UDF time,
   rows and bytes per block — read this to find the bottleneck stage);
-- the step_stats rollup: todo/sent/match/match_26/reject_rec/
-  reject_addr/reject_mism/seconds per cascade step, summed across all
-  batches (utils.py:678-686 + base.py:275-301 parity).
+- the step table: todo/match/match_26/errors/reject_rec/reject_addr/
+  reject_mism per cascade step (utils.py:678-686), counted from the
+  run's output rows (``pipeline.step_stats``).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ def main() -> int:
              log_to_driver=False)
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
+    import pandas as pd
     import pyarrow.compute as pc
     import ray.data
 
@@ -48,22 +50,19 @@ def main() -> int:
     corpus = f"/tmp/georay_bench/stats_{args.docs}"
     write_bench_corpus(corpus, args.docs, spec=spec)
 
-    docs = ray.data.read_parquet(corpus)
-    res = geocode_documents(docs, spec=spec,
-                            cfg=PipelineConfig(with_rejected=False))
+    cfg = PipelineConfig()
+    res = geocode_documents(ray.data.read_parquet(corpus), spec=spec,
+                            cfg=cfg).materialize()
     match = res.map_batches(
         lambda b: b.filter(pc.equal(b["status"], "match")),
-        batch_format="pyarrow").materialize()
+        batch_format="pyarrow")
     rollup = rollup_counts_local(match, "hex_cell")
     print(f"== geocoded {args.docs} docs -> {int(rollup['n'].sum())} "
           "matches ==\n")
-    print(match.stats())
+    print(res.stats())
 
-    print("\n== per-step cascade stats (timestats analogue) ==")
-    stats = (step_stats(ray.data.read_parquet(corpus), spec=spec,
-                        spans=True)
-             .to_pandas().sort_values("step"))
-    print(stats.to_string(index=False))
+    print("\n== per-step cascade counters (same run) ==")
+    print(pd.DataFrame(step_stats(res, cfg)).to_string(index=False))
     ray.shutdown()
     return 0
 

@@ -4,16 +4,17 @@ per-partition lineage).
 
     python scripts/run_pipeline.py --input /tmp/georay_bench/sf0.1_60000 \
         --output /tmp/georay_run1 [--shards-per-partition 8] \
-        [--num-cpus 32] [--step-stats]
+        [--num-cpus 32]
 
 The input directory's parquet fragments are grouped into partitions;
 each partition runs as its own streaming pipeline and writes one output
 directory (through the ``tables.py`` Lance-or-Parquet adapter) plus a
-lineage record (rows, status counters, wall seconds, and with
-``--step-stats`` the per-cascade-step todo/sent/match/reject counters
-and seconds).  RESUME is the default behavior: re-run the same command
-after a crash — or with a different ``--num-cpus`` — and completed
-partitions are skipped, only the remainder runs.  That is also the
+lineage record (rows, wall seconds, and counters: rows per status,
+matches per method and the per-cascade-step todo/match/errors/reject
+table, counted from the partition's own output rows).  RESUME is the
+default behavior: re-run the same command after a crash — or with a
+different ``--num-cpus`` — and completed partitions are skipped, only
+the remainder runs.  That is also the
 cluster story: the same manifest protocol works when partitions are
 farmed out to different nodes — local output dirs commit via an atomic
 directory rename per partition, and ``scheme://`` output dirs (s3://,
@@ -47,10 +48,6 @@ def main() -> int:
     ap.add_argument("--num-cpus", type=int,
                     default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
     ap.add_argument("--spec-factor", type=float, default=1.5)
-    ap.add_argument("--step-stats", action="store_true",
-                    help="record per-cascade-step counters+seconds in each "
-                         "lineage record (re-runs the cascade memo-free — "
-                         "an audit-run option, roughly 2x shard cost)")
     ap.add_argument("--max-partitions", type=int, default=0,
                     help="stop after N not-yet-done partitions (demo / "
                          "drain control); 0 = run all")
@@ -67,7 +64,7 @@ def main() -> int:
     from georay.checkpoint import Manifest, pipeline_counters, run_resumable
     from georay.config import PipelineConfig
     from georay.gazetteer import GazetteerSpec
-    from georay.pipeline import geocode_documents, step_stats
+    from georay.pipeline import geocode_documents
 
     spec = GazetteerSpec().scaled(args.spec_factor)
     cfg = PipelineConfig()
@@ -86,41 +83,19 @@ def main() -> int:
             return geocode_documents(reader(group), spec=spec, cfg=cfg)
         return _b
 
-    def build_stats(group):
-        def _b():
-            return step_stats(reader(group), spec=spec, cfg=cfg, spans=True)
-        return _b
-
     shards = [(f"p{gi:05d}", build(g)) for gi, g in enumerate(groups)]
     if args.max_partitions:
         done = Manifest(args.output)
         todo = [s for s in shards if not done.is_done(s[0])]
         keep = {s[0] for s in todo[:args.max_partitions]}
         shards = [s for s in shards if done.is_done(s[0]) or s[0] in keep]
-    stats_builders = ({f"p{gi:05d}": build_stats(g)
-                       for gi, g in enumerate(groups)}
-                      if args.step_stats else None)
     manifest = run_resumable(shards, args.output,
-                             counters_fn=pipeline_counters,
-                             step_stats_builders=stats_builders,
+                             counters_fn=lambda ds: pipeline_counters(ds, cfg),
                              write_fn=tables.write_table)
     recs = manifest.records()
     total = {"partitions": len(recs),
              "rows": sum(r["rows"] for r in recs),
              "seconds": round(sum(r["seconds"] for r in recs), 2)}
-    if any("step_stats" in r for r in recs):
-        agg: dict[tuple, dict] = {}
-        for r in recs:
-            for s in r.get("step_stats", []):
-                k = (s["step"], s["method"])
-                a = agg.setdefault(k, {"todo": 0, "sent": 0, "match": 0,
-                                       "seconds": 0.0})
-                for f in ("todo", "sent", "match"):
-                    a[f] += s[f]
-                a["seconds"] = round(a["seconds"] + s["seconds"], 3)
-        total["step_stats"] = [
-            {"step": k[0], "method": k[1], **v}
-            for k, v in sorted(agg.items())]
     print(json.dumps(total))
     ray.shutdown()
     return 0

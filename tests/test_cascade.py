@@ -4,6 +4,7 @@ keep-best labeling, low-rank retry, parent rescue, method labels
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from georay import cascade, compare
@@ -14,6 +15,7 @@ from georay.config import (ADDR_KEY, CITY, COUNTRY, HOUSENBR, INPUT_FIELDS,
 from georay.corpus import make_addresses
 from georay.gazetteer import GazetteerSpec, get_gazetteer
 from georay.parser import AddressParser
+from georay.stepstats import outcome_counters, outcome_counts
 from georay.transforms import (AddressRows, apply_transformers,
                                clean_addr_in)
 
@@ -475,9 +477,7 @@ def test_step_failure_labels_counts_and_stops_rows(world, monkeypatch):
     st = gaz.places[gaz.places.place_rank == 26].iloc[0]
     rows = [_addr("ok", st["name"], "4", st["post_code"],
                   st["post_name"])] + _unresolvable(2)
-    stats = []
-    out = process_addresses_df(pd.DataFrame(rows), gaz, parser, cfg,
-                               stats_out=stats)
+    out = process_addresses_df(pd.DataFrame(rows), gaz, parser, cfg)
     # the failed rows are labelled and reported as matches, as in the
     # reference (utils.py:1255-1261)
     by_key = out[out.status == "match"].set_index(ADDR_KEY)["m_method"]
@@ -485,10 +485,13 @@ def test_step_failure_labels_counts_and_stops_rows(world, monkeypatch):
                                 "u0": "error on boom: RuntimeError",
                                 "u1": "error on boom: RuntimeError"}
     assert seen == []                 # later steps never see those rows
+    stats = outcome_counters(
+        [outcome_counts(pa.Table.from_pandas(out))], cfg)["step_stats"]
     assert [s["method"] for s in stats] == ["orig", "boom"]
     failed = stats[1]
     assert failed["todo"] == 2
-    assert failed["sent"] == 0 and failed["match"] == failed["todo"]
+    assert failed["errors"] == failed["match"] == failed["todo"]
+    assert stats[0]["errors"] == 0
 
 
 def test_memo_does_not_keep_step_failures(world, monkeypatch):

@@ -1,6 +1,7 @@
 """Smoke test of ``scripts/pipeline_stats.py``: the one entry point that
-drives both ``geocode_documents`` and ``step_stats``.  Runs it in a
-subprocess (the script owns its own Ray session)."""
+drives both ``geocode_documents`` and ``step_stats``, the step table
+counted from the same run's rows.  Runs it in a subprocess (the script
+owns its own Ray session)."""
 
 import os
 import subprocess
@@ -17,8 +18,9 @@ def test_pipeline_stats_prints_step_table():
         env={**os.environ, "RAY_ADDRESS": "local"})
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
-    at = lines.index("== per-step cascade stats (timestats analogue) ==")
+    at = lines.index("== per-step cascade counters (same run) ==")
     header, first = lines[at + 1].split(), lines[at + 2].split()
-    assert header[:2] == ["step", "method"]
-    assert {"todo", "sent", "match", "seconds"} <= set(header)
+    assert header == ["step", "method", "todo", "match", "match_26",
+                      "errors", "reject_rec", "reject_addr", "reject_mism"]
     assert first[:2] == ["0", "orig"]
+    assert all(v.isdigit() for v in first[2:])
