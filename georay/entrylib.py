@@ -181,25 +181,41 @@ def q_geo_tile_rollup(sf_dir: str):
     return rollup_counts(q_geo_tile_assign(sf_dir), "square_cell")
 
 
+def _street_points(sf_dir: str):
+    """The synthetic gazetteer's rank-26 street points (place_id, lat,
+    lon, place_rank)."""
+    ds = ray.data.read_parquet(
+        os.path.join(ensure_synth(sf_dir), "gazetteer.parquet"),
+        columns=["place_id", "lat", "lon", "place_rank"])
+    return ds.map_batches(
+        lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
+        batch_format="pyarrow")
+
+
+def _street_edges(sf_dir: str):
+    """The 1 km street-proximity graph: every unordered pair of rank-26
+    streets within 1 km, once, as (left_id, right_id)."""
+    from .tiles import radius_join
+    return (radius_join(_street_points(sf_dir), _street_points(sf_dir), 1.0,
+                        distinct_pairs=True)
+            .select_columns(["left_id", "right_id"]))
+
+
+def _to_nodes(batch: pa.Table) -> pa.Table:
+    """Per-batch partial node degrees of an edge list."""
+    u = batch["left_id"].to_numpy(zero_copy_only=False)
+    v = batch["right_id"].to_numpy(zero_copy_only=False)
+    node, cnt = np.unique(np.concatenate([u, v]), return_counts=True)
+    return pa.table({"node": pa.array(node.astype(np.int64)),
+                     "deg": pa.array(cnt.astype(np.int64))})
+
+
 def q_geo_radius_join(sf_dir: str):
     """All unordered pairs of rank-26 streets within 1 km — the
     grid-bucketed spatial range join (tiles.radius_join).  dist is
     dropped from the compared output (float discipline: the oracle
     compares id pairs; the haversine threshold itself is shared)."""
-    from .tiles import radius_join
-    d = ensure_synth(sf_dir)
-    gaz_path = os.path.join(d, "gazetteer.parquet")
-
-    def streets():
-        ds = ray.data.read_parquet(gaz_path,
-                                   columns=["place_id", "lat", "lon",
-                                            "place_rank"])
-        return ds.map_batches(
-            lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-            batch_format="pyarrow")
-
-    pairs = radius_join(streets(), streets(), 1.0, distinct_pairs=True)
-    return pairs.select_columns(["left_id", "right_id"])
+    return _street_edges(sf_dir)
 
 
 def q_geo_triangles(sf_dir: str):
@@ -217,34 +233,15 @@ def q_geo_triangles(sf_dir: str):
         (min,max) pair key;
     (6) per-node count groupby."""
     from .shuffle import grouped_map
-    from .tiles import radius_join
     from ray.data.aggregate import Sum
-    d = ensure_synth(sf_dir)
-    gaz_path = os.path.join(d, "gazetteer.parquet")
-
-    def streets():
-        ds = ray.data.read_parquet(gaz_path,
-                                   columns=["place_id", "lat", "lon",
-                                            "place_rank"])
-        return ds.map_batches(
-            lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-            batch_format="pyarrow")
 
     # three consumers (degrees, orient, closing keys) — materialize the
     # edge list ONCE into the object store (spill-backed) instead of
     # re-running the radius join per consumer; at 100-TB graph scale the
     # same diamond is broken by checkpointing edges to parquet
-    edges = (radius_join(streets(), streets(), 1.0, distinct_pairs=True)
-             .select_columns(["left_id", "right_id"])).materialize()
+    edges = _street_edges(sf_dir).materialize()
 
-    def to_nodes(batch: pa.Table) -> pa.Table:
-        u = batch["left_id"].to_numpy(zero_copy_only=False)
-        v = batch["right_id"].to_numpy(zero_copy_only=False)
-        node, cnt = np.unique(np.concatenate([u, v]), return_counts=True)
-        return pa.table({"node": pa.array(node.astype(np.int64)),
-                         "deg": pa.array(cnt.astype(np.int64))})
-
-    deg_pdf = (edges.map_batches(to_nodes, batch_format="pyarrow")
+    deg_pdf = (edges.map_batches(_to_nodes, batch_format="pyarrow")
                .groupby("node").aggregate(Sum("deg", alias_name="deg"))
                .to_pandas())
     deg_map = dict(zip(deg_pdf["node"].to_numpy(np.int64),
@@ -331,22 +328,10 @@ def q_geo_pagerank(sf_dir: str):
     its out-edges, degree counted in-group) + one groupby-SUM on the
     destination.  The SQL oracle unrolls the same 3 iterations."""
     from .shuffle import grouped_map
-    from .tiles import radius_join
     from ray.data.aggregate import Sum
-    d = ensure_synth(sf_dir)
-    gaz_path = os.path.join(d, "gazetteer.parquet")
     S = 10 ** 12
 
-    def streets():
-        ds = ray.data.read_parquet(gaz_path,
-                                   columns=["place_id", "lat", "lon",
-                                            "place_rank"])
-        return ds.map_batches(
-            lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-            batch_format="pyarrow")
-
-    pairs = (radius_join(streets(), streets(), 1.0, distinct_pairs=True)
-             .select_columns(["left_id", "right_id"]))
+    pairs = _street_edges(sf_dir)
 
     def both_ways(batch: pa.Table) -> pa.Table:
         u = batch["left_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -429,31 +414,12 @@ def q_geo_kcore(sf_dir: str, k: int = 2, max_rounds: int = 8):
     periphery-sized per round (the keep_canonical byte-budget argument;
     the co-partitioned double semi-join is the documented huge-graph
     upgrade).  Output = (node, core_deg) inside the 2-core."""
-    from .tiles import radius_join
     from ray.data.aggregate import Sum
-    d = ensure_synth(sf_dir)
-    gaz_path = os.path.join(d, "gazetteer.parquet")
 
-    def streets():
-        ds = ray.data.read_parquet(gaz_path,
-                                   columns=["place_id", "lat", "lon",
-                                            "place_rank"])
-        return ds.map_batches(
-            lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-            batch_format="pyarrow")
-
-    edges = (radius_join(streets(), streets(), 1.0, distinct_pairs=True)
-             .select_columns(["left_id", "right_id"])).materialize()
-
-    def to_nodes(batch: pa.Table) -> pa.Table:
-        u = batch["left_id"].to_numpy(zero_copy_only=False)
-        v = batch["right_id"].to_numpy(zero_copy_only=False)
-        node, cnt = np.unique(np.concatenate([u, v]), return_counts=True)
-        return pa.table({"node": pa.array(node.astype(np.int64)),
-                         "deg": pa.array(cnt.astype(np.int64))})
+    edges = _street_edges(sf_dir).materialize()
 
     def degrees(eds):
-        return (eds.map_batches(to_nodes, batch_format="pyarrow")
+        return (eds.map_batches(_to_nodes, batch_format="pyarrow")
                 .groupby("node").aggregate(Sum("deg", alias_name="deg")))
 
     for _ in range(max_rounds):
@@ -491,20 +457,8 @@ def q_geo_bfs_hops(sf_dir: str, rounds: int = 8):
     the oracle's 8 unrolled relaxation CTEs.  Seeds come from the
     existing pointer-doubling connected components."""
     from .shuffle import grouped_map, adaptive_partitions
-    from .tiles import radius_join
-    d = ensure_synth(sf_dir)
-    gaz_path = os.path.join(d, "gazetteer.parquet")
 
-    def streets():
-        ds = ray.data.read_parquet(gaz_path,
-                                   columns=["place_id", "lat", "lon",
-                                            "place_rank"])
-        return ds.map_batches(
-            lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-            batch_format="pyarrow")
-
-    pairs = (radius_join(streets(), streets(), 1.0, distinct_pairs=True)
-             .select_columns(["left_id", "right_id"]))
+    pairs = _street_edges(sf_dir)
 
     def both_ways(batch: pa.Table) -> pa.Table:
         u = batch["left_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -655,18 +609,8 @@ def q_geo_nearest_join(sf_dir: str):
     primitive, tiles.nearest_join): grid-bucketed argmin, ties by
     smaller right id."""
     from .tiles import nearest_join
-    d = ensure_synth(sf_dir)
-    gaz_path = os.path.join(d, "gazetteer.parquet")
-
-    def streets():
-        ds = ray.data.read_parquet(gaz_path,
-                                   columns=["place_id", "lat", "lon",
-                                            "place_rank"])
-        return ds.map_batches(
-            lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-            batch_format="pyarrow")
-
-    best = nearest_join(streets(), streets(), 1.0, exclude_self=True)
+    best = nearest_join(_street_points(sf_dir), _street_points(sf_dir), 1.0,
+                        exclude_self=True)
     return best.select_columns(["left_id", "right_id"])
 
 
@@ -946,15 +890,7 @@ def q_geo_dbscan(sf_dir: str):
     neighbor.  Oracle = the same haversine eps-graph recomputed by SQL
     cross join + a recursive-CTE transitive closure (cluster.py)."""
     from .cluster import dbscan
-    d = ensure_synth(sf_dir)
-    gaz_path = os.path.join(d, "gazetteer.parquet")
-    ds = ray.data.read_parquet(gaz_path,
-                               columns=["place_id", "lat", "lon",
-                                        "place_rank"])
-    streets = ds.map_batches(
-        lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-        batch_format="pyarrow")
-    return dbscan(streets, 1.0, 3)
+    return dbscan(_street_points(sf_dir), 1.0, 3)
 
 
 def q_geo_path_length(sf_dir: str):
@@ -1153,13 +1089,7 @@ def q_geo_hotspot_cells(sf_dir: str):
     real hotspot candidates."""
     from .cells import square_cell
     from ray.data.aggregate import Sum
-    d = ensure_synth(sf_dir)
-    ds = ray.data.read_parquet(
-        os.path.join(d, "gazetteer.parquet"),
-        columns=["lat", "lon", "place_rank"])
-    streets = ds.map_batches(
-        lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-        batch_format="pyarrow")
+    streets = _street_points(sf_dir)
     w = np.int64(int(round(360.0 / SQUARE_CELL_DEG)))
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -2057,9 +1987,6 @@ def q_geo_docs_match_content(sf_dir: str):
 # adjudication and selection oracles cover EVERY cascade method; the
 # round-4 restriction to raw-table-derivable methods
 # (orig/nonum/nostreet) is gone.
-
-_SQL_EXPR_METHODS = ("orig", "nonum", "nostreet")  # kept for reference
-
 
 def _flat_geocode_full(sf_dir: str):
     from .pipeline import geocode_addresses

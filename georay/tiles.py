@@ -12,6 +12,11 @@ and tile rollups (the north rule's net-new operators, SURVEY.md §2.5).
   counts are combined inside ``map_batches`` first, so the shuffle moves
   at most (distinct cells × blocks) rows, not the full dataset — the
   skew/salting story for hot postal codes (SURVEY.md §4).
+- ``radius_join``, ``nearest_join``, ``idw_join`` — radius-bounded
+  joins with one plan, ``_grid_join``: partition both sides on a
+  seam-wrapping lat/lon grid, verify each cell's haversine matrix in
+  its partition, and emit each pair from exactly one partition.  Only
+  the per-chunk verification differs between the three.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from ray.data.aggregate import Sum
 from .cells import hex_cell, quad_cell, square_cell
 from .config import O_LAT, O_LON, POSTCODE, T_HEX_CELL, T_PIP_OK, T_QUAD_CELL
 from .gazetteer import GazetteerSpec, get_gazetteer
-from .geom import PolygonIndex
+from .geom import EARTH_RADIUS_KM, PolygonIndex, haversine_km
 
 T_SQUARE_CELL = "square_cell"
 
@@ -118,9 +123,10 @@ def rollup_counts_salted(ds: "ray.data.Dataset", key_col: str,
     (key, hash%salt), then merge the per-salt partials.  Use when a
     single tile dominates enough that one reducer becomes the straggler
     even after per-batch combining."""
+    counts = _partial_counts(key_col)
+
     def add_salt(batch: pa.Table) -> pa.Table:
-        t = batch.group_by(key_col).aggregate([([], "count_all")])
-        t = t.rename_columns([key_col, "n"])
+        t = counts(batch)
         s = np.arange(len(t)) % salt
         return t.append_column("_salt", pa.array(s.astype(np.int64)))
 
@@ -131,28 +137,38 @@ def rollup_counts_salted(ds: "ray.data.Dataset", key_col: str,
 
 
 # ---------------------------------------------------------------------------
-# Spatial range join (radius join)
+# Grid joins: radius_join, nearest_join, idw_join
 # ---------------------------------------------------------------------------
 
 _KM_PER_DEG_LAT = 110.574
-_KM_PER_DEG_LON_EQ = 111.320
+# probes per haversine matrix; read on the driver when a plan is built
+_CHUNK_ROWS = 4096
 
-_RJ_SCHEMA = pa.schema([("left_id", pa.int64()), ("right_id", pa.int64()),
-                        ("dist_m", pa.int64())])
+_PAIR_SCHEMA = pa.schema([("left_id", pa.int64()), ("right_id", pa.int64()),
+                          ("dist_m", pa.int64())])
+_CAND_SCHEMA = pa.schema([("left_id", pa.int64()), ("right_id", pa.int64()),
+                          ("dist_km", pa.float64())])
+_IDW_SCHEMA = pa.schema([("left_id", pa.int64()), ("num", pa.int64()),
+                         ("den", pa.int64())])
 
 
 def _rj_tag(side: int, id_col: str, lat_col: str, lon_col: str,
-            pitch_deg: float, grid_w: int, radius_km: float,
+            pitch_deg: float, n_lon: int, radius_km: float,
             val_col: str | None = None):
-    """Batch fn: tag one side of the radius join with grid cells.
+    """Batch fn: tag one side of a grid join with grid cells.
 
-    side 0 (build) rows go to their home cell only; side 1 (probe) rows
-    are replicated to every cell their radius circle can touch — ±1 cell
-    in lat (pitch ≥ radius by construction) and ±kx in lon, where kx is
-    computed per batch from the batch's worst-case latitude (longitude
-    degrees shrink by cos(lat)).  Each (probe, build) pair therefore
+    Rows are ``pitch_deg`` tall and ``360 / n_lon`` wide; the longitude
+    column wraps (``mod n_lon``), so +180° and -180° share a seam.  Side
+    0 (build) rows go to their home cell only; side 1 (probe) rows are
+    replicated to every cell their radius circle can touch — ±1 row
+    (pitch ≥ radius by construction) and ±kx columns, where kx comes
+    from the batch's worst-case latitude (capped at 89°: the poles are
+    out of scope).  When the 2kx+1 columns would wrap onto themselves
+    every column is taken once.  Each (probe, build) pair therefore
     meets in exactly ONE partition — the build row's home cell — so no
     pair dedup pass is needed downstream."""
+    width = 360.0 / n_lon
+
     def fn(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         lat = batch[lat_col].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -161,34 +177,92 @@ def _rj_tag(side: int, id_col: str, lat_col: str, lon_col: str,
                .astype(np.int64) if val_col is not None
                else np.zeros(len(ids), np.int64))
         iy = np.floor((lat + 90.0) / pitch_deg).astype(np.int64)
-        ix = np.floor((lon + 180.0) / pitch_deg).astype(np.int64)
+        ix = np.floor((lon + 180.0) / width).astype(np.int64) % n_lon
         if side == 0:
-            cell = iy * grid_w + ix
-            return pa.table({
-                "cell": pa.array(cell), "side": pa.array(
-                    np.zeros(len(ids), np.int8)),
-                "rj_id": pa.array(ids), "rj_lat": pa.array(lat),
-                "rj_lon": pa.array(lon), "rj_val": pa.array(val)})
-        # probe side: replicate to the (2kx+1) x 3 neighborhood
-        if len(ids) == 0:
-            kx = 0
+            cell = iy * n_lon + ix
+            idx = np.arange(len(ids))
         else:
-            worst = min(np.abs(lat).max(), 89.0)
-            reach_deg = radius_km / (_KM_PER_DEG_LON_EQ
-                                     * np.cos(np.radians(worst)))
-            kx = int(np.ceil(reach_deg / pitch_deg))
-        dxs = np.arange(-kx, kx + 1, dtype=np.int64)
-        dys = np.array([-1, 0, 1], dtype=np.int64)
-        rep = len(dxs) * len(dys)
-        cell = ((iy[:, None] + dys[None, :])[:, :, None] * grid_w
-                + (ix[:, None] + dxs[None, :])[:, None, :]).reshape(-1)
-        idx = np.repeat(np.arange(len(ids)), rep)
+            worst = np.radians(min(np.abs(lat).max(initial=0.0), 89.0))
+            s = np.sin(radius_km / EARTH_RADIUS_KM) / np.cos(worst)
+            # a circle over a pole (s >= 1) reaches every column
+            reach = np.degrees(np.arcsin(s)) if s < 1 else 180.0
+            kx = int(np.ceil(reach / width))
+            if 2 * kx + 1 >= n_lon:
+                cols = np.broadcast_to(np.arange(n_lon), (len(ids), n_lon))
+            else:
+                cols = (ix[:, None] + np.arange(-kx, kx + 1)) % n_lon
+            rows = iy[:, None] + np.array([-1, 0, 1], dtype=np.int64)
+            cell = (rows[:, :, None] * n_lon + cols[:, None, :]).reshape(-1)
+            idx = np.repeat(np.arange(len(ids)), 3 * cols.shape[1])
         return pa.table({
             "cell": pa.array(cell),
-            "side": pa.array(np.ones(len(cell), np.int8)),
+            "side": pa.array(np.full(len(cell), side, np.int8)),
             "rj_id": pa.array(ids[idx]), "rj_lat": pa.array(lat[idx]),
             "rj_lon": pa.array(lon[idx]), "rj_val": pa.array(val[idx])})
     return fn
+
+
+def _grid_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
+               radius_km: float, chunk_fn, schema: pa.Schema,
+               left_id_col: str, right_id_col: str, lat_col: str,
+               lon_col: str, val_col: str | None,
+               num_partitions: int | None) -> "ray.data.Dataset":
+    """The one plan behind the grid joins: bucket both sides on the
+    ``_rj_tag`` grid, co-locate each cell with ONE ``grouped_map``, and
+    inside a partition hand every (probes × builds) haversine matrix of
+    a cell to ``chunk_fn(probe_id, build_id, build_val, dist_km)``.
+
+    ``chunk_fn`` returns a dict of ``schema`` columns or ``None``; the
+    result Dataset is in ``schema``.  Probes are chunked by
+    ``_CHUNK_ROWS`` so a hot cell costs one dense scan bounded by point
+    density × cell area, never materialized whole.  The replication
+    factor (≤ 3×(2kx+1), kx = 1 at low latitude) is the only scale
+    cost."""
+    from .shuffle import grouped_map
+
+    pitch_deg = radius_km / _KM_PER_DEG_LAT
+    n_lon = int(np.ceil(360.0 / pitch_deg))
+    chunk_rows = _CHUNK_ROWS
+    build = right.map_batches(
+        _rj_tag(0, right_id_col, lat_col, lon_col, pitch_deg, n_lon,
+                radius_km, val_col), batch_format="pyarrow")
+    probe = left.map_batches(
+        _rj_tag(1, left_id_col, lat_col, lon_col, pitch_deg, n_lon,
+                radius_km), batch_format="pyarrow")
+
+    def per_partition(df: pd.DataFrame) -> pa.Table:
+        if len(df) == 0:
+            return schema.empty_table()
+        order = np.argsort(df["cell"].to_numpy(), kind="mergesort")
+        cell, side, ids, lat, lon, val = (
+            df[c].to_numpy()[order] for c in
+            ("cell", "side", "rj_id", "rj_lat", "rj_lon", "rj_val"))
+        bounds = np.flatnonzero(np.diff(cell)) + 1
+        outs = []
+        for s, e in zip(np.r_[0, bounds], np.r_[bounds, len(cell)]):
+            pm = side[s:e] == 1
+            if pm.all() or not pm.any():
+                continue
+            bm = ~pm
+            p_id, p_la, p_lo = ids[s:e][pm], lat[s:e][pm], lon[s:e][pm]
+            b_id, b_la, b_lo = ids[s:e][bm], lat[s:e][bm], lon[s:e][bm]
+            b_val = val[s:e][bm]
+            for c0 in range(0, len(p_id), chunk_rows):
+                c1 = c0 + chunk_rows
+                dm = haversine_km(p_la[c0:c1, None], p_lo[c0:c1, None],
+                                  b_la[None, :], b_lo[None, :])
+                got = chunk_fn(p_id[c0:c1], b_id, b_val, dm)
+                if got is not None:
+                    outs.append(got)
+        if not outs:
+            return schema.empty_table()
+        return pa.table({n: np.concatenate([o[n] for o in outs])
+                         for n in schema.names}, schema=schema)
+
+    # no map_batches after the shuffle: Ray hands a zero-row block to no
+    # UDF and emits it with zero columns, which would drop ``schema``
+    return grouped_map(build.union(probe), "cell", per_partition,
+                       num_partitions=num_partitions, group_fn=False)
 
 
 def radius_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -196,99 +270,30 @@ def radius_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                 left_id_col: str = "place_id", right_id_col: str = "place_id",
                 lat_col: str = "lat", lon_col: str = "lon",
                 distinct_pairs: bool = False,
-                num_partitions: int | None = None,
-                chunk_rows: int = 4096) -> "ray.data.Dataset":
+                num_partitions: int | None = None) -> "ray.data.Dataset":
     """All (left, right) pairs within ``radius_km`` great-circle distance —
     the spatial range join the reference's reverse-geocode validation
-    implies but never distributes.
-
-    Plan (one shuffle, no all-pairs): bucket both sides on a lat/lon grid
-    whose pitch ≥ radius in degrees of latitude; the build (right) side
-    keeps its home cell, the probe (left) side is replicated to the 3×(2kx
-    +1) neighborhood its circle can touch.  One ``grouped_map`` co-locates
-    the cells; inside a partition the candidate matrices are chunked
-    (``chunk_rows``) so memory stays bounded regardless of cell density;
-    exact haversine filters candidates.  Replication factor is the only
-    scale cost and is ≤ 3×(2kx+1) (kx = 1 below ~60° latitude).
-
-    Skew: a hot cell costs one dense (probes × builds) scan — bounded by
-    point density × cell area, chunked, never materialized whole.  Not
-    antimeridian-safe (documented; regional data).
+    implies but never distributes.  One shuffle, no all-pairs: the
+    ``_grid_join`` plan with a hit mask as its verification.
 
     ``distinct_pairs=True`` keeps only left_id < right_id — the self-join
     "all pairs within R" form with each unordered pair reported once.
 
     Returns columns: left_id, right_id (int64), dist_m (floor meters).
     """
-    pitch_deg = radius_km / _KM_PER_DEG_LAT
-    grid_w = int(np.ceil(360.0 / pitch_deg)) + 4
+    def hits(p_id, b_id, b_val, dm):
+        hit = dm <= radius_km
+        if distinct_pairs:
+            hit &= p_id[:, None] < b_id[None, :]
+        pi, bi = np.nonzero(hit)
+        if not len(pi):
+            return None
+        return {"left_id": p_id[pi], "right_id": b_id[bi],
+                "dist_m": np.floor(dm[pi, bi] * 1000.0).astype(np.int64)}
 
-    from .geom import haversine_km
-    from .shuffle import adaptive_partitions, grouped_map
-    if num_partitions is None:
-        num_partitions = adaptive_partitions()
-
-    build = right.map_batches(
-        _rj_tag(0, right_id_col, lat_col, lon_col, pitch_deg, grid_w,
-                radius_km), batch_format="pyarrow")
-    probe = left.map_batches(
-        _rj_tag(1, left_id_col, lat_col, lon_col, pitch_deg, grid_w,
-                radius_km), batch_format="pyarrow")
-
-    def match_partition(df: pd.DataFrame) -> pa.Table:
-        if len(df) == 0:
-            return _RJ_SCHEMA.empty_table()
-        cell = df["cell"].to_numpy()
-        order = np.argsort(cell, kind="mergesort")
-        cell = cell[order]
-        side = df["side"].to_numpy()[order]
-        ids = df["rj_id"].to_numpy()[order]
-        lat = df["rj_lat"].to_numpy()[order]
-        lon = df["rj_lon"].to_numpy()[order]
-        bounds = np.flatnonzero(np.diff(cell)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [len(cell)]))
-        out_l, out_r, out_d = [], [], []
-        for s, e in zip(starts, ends):
-            sl = side[s:e]
-            pm = sl == 1
-            bm = ~pm
-            if not pm.any() or not bm.any():
-                continue
-            pl_id, pl_la, pl_lo = ids[s:e][pm], lat[s:e][pm], lon[s:e][pm]
-            bl_id, bl_la, bl_lo = ids[s:e][bm], lat[s:e][bm], lon[s:e][bm]
-            for c0 in range(0, len(pl_id), chunk_rows):
-                c1 = min(c0 + chunk_rows, len(pl_id))
-                dm = haversine_km(pl_la[c0:c1, None], pl_lo[c0:c1, None],
-                                  bl_la[None, :], bl_lo[None, :])
-                hit = dm <= radius_km
-                if distinct_pairs:
-                    hit &= pl_id[c0:c1, None] < bl_id[None, :]
-                pi, bi = np.nonzero(hit)
-                if len(pi):
-                    out_l.append(pl_id[c0:c1][pi])
-                    out_r.append(bl_id[bi])
-                    out_d.append(np.floor(dm[pi, bi] * 1000.0)
-                                 .astype(np.int64))
-        if not out_l:
-            return _RJ_SCHEMA.empty_table()
-        return pa.table({"left_id": pa.array(np.concatenate(out_l)),
-                         "right_id": pa.array(np.concatenate(out_r)),
-                         "dist_m": pa.array(np.concatenate(out_d))})
-
-    both = build.union(probe)
-    out = grouped_map(both, "cell", match_partition,
-                      num_partitions=num_partitions, group_fn=False)
-    # empty shuffle partitions skip the UDF and forward zero-column
-    # blocks; restore the typed schema so an all-empty result still
-    # carries (left_id, right_id, dist_m)
-    return out.map_batches(
-        lambda b: b if b.num_columns else _RJ_SCHEMA.empty_table(),
-        batch_format="pyarrow")
-
-
-_NJ_SCHEMA = pa.schema([("left_id", pa.int64()), ("right_id", pa.int64()),
-                        ("dist_m", pa.int64())])
+    return _grid_join(left, right, radius_km, hits, _PAIR_SCHEMA,
+                      left_id_col, right_id_col, lat_col, lon_col, None,
+                      num_partitions)
 
 
 def nearest_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -297,94 +302,44 @@ def nearest_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                  right_id_col: str = "place_id",
                  lat_col: str = "lat", lon_col: str = "lon",
                  exclude_self: bool = False,
-                 num_partitions: int | None = None,
-                 chunk_rows: int = 4096) -> "ray.data.Dataset":
+                 num_partitions: int | None = None) -> "ray.data.Dataset":
     """Nearest right-side point within ``radius_km`` for every left point
     (the distributed reverse-geocode primitive; ties broken by smaller
     right id).  Left rows with no neighbor in range are absent from the
     output — the radius bounds both the answer and the search cost.
 
-    Plan: the same grid bucketing as ``radius_join`` (build side home-
-    celled, probe side replicated to the reachable neighborhood), but
-    each partition emits at most ONE candidate per probe row it saw
-    (per-partition argmin over chunked haversine matrices, carrying the
-    exact float distance), then a second, candidate-sized shuffle picks
-    the global min per probe — the reduce input is bounded by probes ×
-    replication factor, never by build-side size."""
-    pitch_deg = radius_km / _KM_PER_DEG_LAT
-    grid_w = int(np.ceil(360.0 / pitch_deg)) + 4
-
-    from .geom import haversine_km
+    Plan: ``_grid_join`` emits at most ONE candidate per probe row and
+    chunk (argmin carrying the exact float distance), then a second,
+    candidate-sized shuffle picks the global min per probe — the reduce
+    input is bounded by probes × replication factor, never by build-side
+    size."""
     from .shuffle import adaptive_partitions, grouped_map
     if num_partitions is None:
         num_partitions = adaptive_partitions()
 
-    build = right.map_batches(
-        _rj_tag(0, right_id_col, lat_col, lon_col, pitch_deg, grid_w,
-                radius_km), batch_format="pyarrow")
-    probe = left.map_batches(
-        _rj_tag(1, left_id_col, lat_col, lon_col, pitch_deg, grid_w,
-                radius_km), batch_format="pyarrow")
+    def nearest(p_id, b_id, b_val, dm):
+        bad = dm > radius_km
+        if exclude_self:
+            bad |= p_id[:, None] == b_id[None, :]
+        # argmin by (dist, right_id): mask invalid with +inf and scan
+        # the build side in ascending id order (argmin keeps the first)
+        id_order = np.argsort(b_id, kind="mergesort")
+        dm_s = np.where(bad, np.inf, dm)[:, id_order]
+        j = np.argmin(dm_s, axis=1)
+        d = dm_s[np.arange(len(j)), j]
+        keep = np.isfinite(d)
+        if not keep.any():
+            return None
+        return {"left_id": p_id[keep], "right_id": b_id[id_order][j[keep]],
+                "dist_km": d[keep]}
 
-    cand_schema = pa.schema([("left_id", pa.int64()),
-                             ("right_id", pa.int64()),
-                             ("dist_km", pa.float64())])
-
-    def partial_best(df: pd.DataFrame) -> pa.Table:
-        if len(df) == 0:
-            return cand_schema.empty_table()
-        cell = df["cell"].to_numpy()
-        order = np.argsort(cell, kind="mergesort")
-        cell = cell[order]
-        side = df["side"].to_numpy()[order]
-        ids = df["rj_id"].to_numpy()[order]
-        lat = df["rj_lat"].to_numpy()[order]
-        lon = df["rj_lon"].to_numpy()[order]
-        bounds = np.flatnonzero(np.diff(cell)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [len(cell)]))
-        out_l, out_r, out_d = [], [], []
-        for s, e in zip(starts, ends):
-            sl = side[s:e]
-            pm = sl == 1
-            bm = ~pm
-            if not pm.any() or not bm.any():
-                continue
-            pl_id, pl_la, pl_lo = ids[s:e][pm], lat[s:e][pm], lon[s:e][pm]
-            bl_id, bl_la, bl_lo = ids[s:e][bm], lat[s:e][bm], lon[s:e][bm]
-            for c0 in range(0, len(pl_id), chunk_rows):
-                c1 = min(c0 + chunk_rows, len(pl_id))
-                dm = haversine_km(pl_la[c0:c1, None], pl_lo[c0:c1, None],
-                                  bl_la[None, :], bl_lo[None, :])
-                bad = dm > radius_km
-                if exclude_self:
-                    bad |= pl_id[c0:c1, None] == bl_id[None, :]
-                # argmin by (dist, right_id): mask invalid with +inf,
-                # and among equal distances prefer the smaller id by
-                # scanning ids in ascending order (stable argmin on a
-                # id-sorted build side)
-                id_order = np.argsort(bl_id, kind="mergesort")
-                dm_s = np.where(bad, np.inf, dm)[:, id_order]
-                j = np.argmin(dm_s, axis=1)
-                d = dm_s[np.arange(len(j)), j]
-                keep = np.isfinite(d)
-                if keep.any():
-                    out_l.append(pl_id[c0:c1][keep])
-                    out_r.append(bl_id[id_order][j[keep]])
-                    out_d.append(d[keep])
-        if not out_l:
-            return cand_schema.empty_table()
-        return pa.table({"left_id": pa.array(np.concatenate(out_l)),
-                         "right_id": pa.array(np.concatenate(out_r)),
-                         "dist_km": pa.array(np.concatenate(out_d))})
-
-    both = build.union(probe)
-    cands = grouped_map(both, "cell", partial_best,
-                        num_partitions=num_partitions, group_fn=False)
+    cands = _grid_join(left, right, radius_km, nearest, _CAND_SCHEMA,
+                       left_id_col, right_id_col, lat_col, lon_col, None,
+                       num_partitions)
 
     def global_best(df: pd.DataFrame) -> pa.Table:
         if len(df) == 0:
-            return _NJ_SCHEMA.empty_table()
+            return _PAIR_SCHEMA.empty_table()
         df = df.sort_values(["left_id", "dist_km", "right_id"],
                             kind="mergesort")
         best = df.drop_duplicates("left_id", keep="first")
@@ -394,24 +349,16 @@ def nearest_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
             "dist_m": pa.array(np.floor(best["dist_km"].to_numpy()
                                         * 1000.0).astype(np.int64))})
 
-    out = grouped_map(cands, "left_id", global_best,
-                      num_partitions=max(8, num_partitions // 4),
-                      group_fn=False)
-    return out.map_batches(
-        lambda b: b if b.num_columns else _NJ_SCHEMA.empty_table(),
-        batch_format="pyarrow")
-
-
-_IDW_SCHEMA = pa.schema([("left_id", pa.int64()), ("num", pa.int64()),
-                         ("den", pa.int64())])
+    return grouped_map(cands, "left_id", global_best,
+                       num_partitions=max(8, num_partitions // 4),
+                       group_fn=False)
 
 
 def idw_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
              radius_km: float, *, val_col: str,
              left_id_col: str = "cell_id", right_id_col: str = "place_id",
              lat_col: str = "lat", lon_col: str = "lon",
-             num_partitions: int | None = None,
-             chunk_rows: int = 4096) -> "ray.data.Dataset":
+             num_partitions: int | None = None) -> "ray.data.Dataset":
     """Inverse-distance-weighted interpolation join: for every left
     (probe) point, the integer-exact IDW moments over right points
     within ``radius_km`` — num = Σ w·v, den = Σ w with
@@ -421,79 +368,24 @@ def idw_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     a SQL oracle reproduces the moments bit-for-bit (no float
     summation-order risk).
 
-    Plan: the radius join's grid bucketing verbatim (each (probe,
-    build) pair meets in exactly ONE partition), per-partition partial
-    moments per probe (chunked matrices bound memory on hot cells),
-    then ONE probe-keyed groupby merges partials.  Probes with no
-    build point in range are absent from the output (SQL inner-join
-    semantics)."""
-    from ray.data.aggregate import Sum
+    Plan: ``_grid_join`` computes partial moments per probe and chunk
+    (each (probe, build) pair meets in exactly ONE partition), then ONE
+    probe-keyed groupby merges partials.  Probes with no build point in
+    range are absent from the output (SQL inner-join semantics)."""
+    def moments(p_id, b_id, b_val, dm):
+        dmm = np.floor(dm * 1000.0).astype(np.int64)
+        w = np.where(dm <= radius_km,
+                     np.int64(1_000_000_000) // np.maximum(dmm, 1), 0)
+        den = w.sum(axis=1)
+        keep = den > 0
+        if not keep.any():
+            return None
+        return {"left_id": p_id[keep], "num": (w[keep] * b_val).sum(axis=1),
+                "den": den[keep]}
 
-    pitch_deg = radius_km / _KM_PER_DEG_LAT
-    grid_w = int(np.ceil(360.0 / pitch_deg)) + 4
-
-    from .geom import haversine_km
-    from .shuffle import adaptive_partitions, grouped_map
-    if num_partitions is None:
-        num_partitions = adaptive_partitions()
-
-    build = right.map_batches(
-        _rj_tag(0, right_id_col, lat_col, lon_col, pitch_deg, grid_w,
-                radius_km, val_col=val_col), batch_format="pyarrow")
-    probe = left.map_batches(
-        _rj_tag(1, left_id_col, lat_col, lon_col, pitch_deg, grid_w,
-                radius_km), batch_format="pyarrow")
-
-    def moments_partition(df: pd.DataFrame) -> pa.Table:
-        if len(df) == 0:
-            return _IDW_SCHEMA.empty_table()
-        cell = df["cell"].to_numpy()
-        order = np.argsort(cell, kind="mergesort")
-        cell = cell[order]
-        side = df["side"].to_numpy()[order]
-        ids = df["rj_id"].to_numpy()[order]
-        lat = df["rj_lat"].to_numpy()[order]
-        lon = df["rj_lon"].to_numpy()[order]
-        val = df["rj_val"].to_numpy()[order]
-        bounds = np.flatnonzero(np.diff(cell)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [len(cell)]))
-        out_id, out_num, out_den = [], [], []
-        for s, e in zip(starts, ends):
-            sl = side[s:e]
-            pm = sl == 1
-            bm = ~pm
-            if not pm.any() or not bm.any():
-                continue
-            pl_id, pl_la, pl_lo = ids[s:e][pm], lat[s:e][pm], lon[s:e][pm]
-            bl_la, bl_lo = lat[s:e][bm], lon[s:e][bm]
-            bl_v = val[s:e][bm]
-            for c0 in range(0, len(pl_id), chunk_rows):
-                c1 = min(c0 + chunk_rows, len(pl_id))
-                dm = haversine_km(pl_la[c0:c1, None], pl_lo[c0:c1, None],
-                                  bl_la[None, :], bl_lo[None, :])
-                hit = dm <= radius_km
-                if not hit.any():
-                    continue
-                dmm = np.floor(dm * 1000.0).astype(np.int64)
-                w = np.int64(1_000_000_000) // np.maximum(dmm, 1)
-                w = np.where(hit, w, 0)
-                out_id.append(pl_id[c0:c1])
-                out_num.append((w * bl_v[None, :]).sum(axis=1))
-                out_den.append(w.sum(axis=1))
-        if not out_id:
-            return _IDW_SCHEMA.empty_table()
-        t = pa.table({"left_id": pa.array(np.concatenate(out_id)),
-                      "num": pa.array(np.concatenate(out_num)),
-                      "den": pa.array(np.concatenate(out_den))})
-        return t.filter(pa.compute.greater(t["den"], 0))
-
-    both = build.union(probe)
-    parts = grouped_map(both, "cell", moments_partition,
-                        num_partitions=num_partitions, group_fn=False)
-    parts = parts.map_batches(
-        lambda b: b if b.num_columns else _IDW_SCHEMA.empty_table(),
-        batch_format="pyarrow")
+    parts = _grid_join(left, right, radius_km, moments, _IDW_SCHEMA,
+                       left_id_col, right_id_col, lat_col, lon_col, val_col,
+                       num_partitions)
     return parts.groupby("left_id").aggregate(
         Sum("num", alias_name="num"), Sum("den", alias_name="den"))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
 
 import duckdb
 import pandas as pd
@@ -53,7 +54,7 @@ def main() -> int:
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     import __ray_entry__ as entry_mod
     qs = entry_mod.queries()
     oracles = entry_mod.oracle_sql()
