@@ -218,6 +218,26 @@ def q_geo_radius_join(sf_dir: str):
     return _street_edges(sf_dir)
 
 
+def _pair_key(a, b) -> np.ndarray:
+    """One int64 key per id pair: the bits of a * 2**32 + b (as uint64),
+    unpacked by ``_pair_ids``.  Ids outside [0, 2**32) would collide
+    with other pairs, so they raise ValueError."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    for x in (a, b):
+        if x.size and (x.min() < 0 or x.max() >= 1 << 32):
+            raise ValueError("pair key ids must lie in [0, 2**32)")
+    return ((a.astype(np.uint64) << np.uint64(32))
+            | b.astype(np.uint64)).view(np.int64)
+
+
+def _pair_ids(key) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of keys made by ``_pair_key``."""
+    u = np.asarray(key, dtype=np.int64).view(np.uint64)
+    return ((u >> np.uint64(32)).astype(np.int64),
+            (u & np.uint64(0xFFFFFFFF)).astype(np.int64))
+
+
 def q_geo_triangles(sf_dir: str):
     """Per-node triangle counts on the 1 km street-proximity graph —
     the degree-oriented wedge plan (each triangle counted exactly once
@@ -273,7 +293,7 @@ def q_geo_triangles(sf_dir: str):
             if len(nb) < 2:
                 continue
             ia, ib = np.triu_indices(len(nb), k=1)
-            pks.append(nb[ia] * np.int64(2 ** 32) + nb[ib])
+            pks.append(_pair_key(nb[ia], nb[ib]))
             pivots.append(np.full(len(ia), src, np.int64))
         if not pks:
             return wedge_schema.empty_table()
@@ -288,7 +308,7 @@ def q_geo_triangles(sf_dir: str):
         u = batch["left_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         v = batch["right_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        return pa.table({"pk": pa.array(u * np.int64(2 ** 32) + v),
+        return pa.table({"pk": pa.array(_pair_key(u, v)),
                          "pivot": pa.array(np.full(len(u), -1, np.int64)),
                          "is_edge": pa.array(np.ones(len(u), np.int64))})
 
@@ -305,9 +325,7 @@ def q_geo_triangles(sf_dir: str):
         w = df[(df["is_edge"] == 0) & df["pk"].isin(closed)]
         if len(w) == 0:
             return node_schema.empty_table()
-        pk = w["pk"].to_numpy(np.int64)
-        a = pk >> np.int64(32)
-        b = pk & np.int64((1 << 32) - 1)
+        a, b = _pair_ids(w["pk"].to_numpy(np.int64))
         nodes = np.concatenate([w["pivot"].to_numpy(np.int64), a, b])
         uniq, cnt = np.unique(nodes, return_counts=True)
         return pa.table({"node": pa.array(uniq),
@@ -424,19 +442,18 @@ def q_geo_kcore(sf_dir: str, k: int = 2, max_rounds: int = 8):
 
     for _ in range(max_rounds):
         deg_pdf = degrees(edges).to_pandas()
-        dropped = set(deg_pdf.loc[deg_pdf["deg"] < k, "node"]
-                      .to_numpy(np.int64).tolist())
-        if not dropped:
+        dropped = deg_pdf.loc[deg_pdf["deg"] < k, "node"].to_numpy(np.int64)
+        if not len(dropped):
             break
         drop_ref = ray.put(dropped)
 
         def keep(batch: pa.Table) -> pa.Table:
-            ds_ = ray.get(drop_ref)
+            drop = ray.get(drop_ref)
             u = batch["left_id"].to_numpy(zero_copy_only=False)
             v = batch["right_id"].to_numpy(zero_copy_only=False)
-            m = np.array([a not in ds_ and b not in ds_
-                          for a, b in zip(u, v)], bool)
-            return batch.filter(pa.array(m))
+            gone = (np.isin(u.astype(np.int64), drop)
+                    | np.isin(v.astype(np.int64), drop))
+            return batch.filter(pa.array(~gone))
 
         edges = edges.map_batches(keep,
                                   batch_format="pyarrow").materialize()

@@ -214,28 +214,26 @@ def knn_points_broadcast(query_df: pd.DataFrame, ref_lat: np.ndarray,
     rank 1..k — the layout the DuckDB oracle reproduces with a windowed
     cross join."""
     from .geom import haversine_km
+    from .ops.similarity import _topk_rows
     qlat = query_df["lat"].to_numpy(dtype=np.float64)
     qlon = query_df["lon"].to_numpy(dtype=np.float64)
-    out_rows = []
+    ref_ids = np.asarray(ref_ids, dtype=np.int64)
+    none = np.zeros(0, np.int64)
+    parts = [pd.DataFrame({"_qi": none, "neighbor_id": none,
+                           "dist_km": np.zeros(0), "rank": none})]
     # chunk queries so the (q × ref) matrix stays small
     chunk = max(1, int(4_000_000 // max(1, len(ref_lat))))
     for s in range(0, len(qlat), chunk):
-        e = min(s + chunk, len(qlat))
-        d = haversine_km(qlat[s:e, None], qlon[s:e, None],
+        d = haversine_km(qlat[s:s + chunk, None], qlon[s:s + chunk, None],
                          ref_lat[None, :], ref_lon[None, :])
-        kk = min(k, d.shape[1])
-        part = np.argpartition(d, kk - 1, axis=1)[:, :kk]
-        for r in range(e - s):
-            cand = part[r]
-            order = np.lexsort((ref_ids[cand], d[r, cand]))
-            for rank, ci in enumerate(cand[order]):
-                out_rows.append((s + r, int(ref_ids[ci]),
-                                 float(d[r, ci]), rank + 1))
-    res = pd.DataFrame(out_rows, columns=["_qi", "neighbor_id", "dist_km",
-                                          "rank"])
+        row, col, rank = _topk_rows(d, ref_ids, k, ascending=True)
+        parts.append(pd.DataFrame({"_qi": s + row,
+                                   "neighbor_id": ref_ids[col],
+                                   "dist_km": d[row, col], "rank": rank}))
     base = query_df.reset_index(drop=True)
     base["_qi"] = np.arange(len(base))
-    return base.merge(res, on="_qi").drop(columns=["_qi"])
+    return base.merge(pd.concat(parts, ignore_index=True),
+                      on="_qi").drop(columns=["_qi"])
 
 
 def knn_join_copartitioned(queries, refs, bucket_fn, score_fn, k: int = 3,
@@ -250,8 +248,8 @@ def knn_join_copartitioned(queries, refs, bucket_fn, score_fn, k: int = 3,
     kernel is one vectorized matrix op per bucket, never a per-row loop.
     One hash shuffle on the bucket key (partitioned ``grouped_map``, many
     buckets per task — not per-group materialization); top-k selection is
-    argpartition + one lexsort per partition, deterministic tie-break on
-    (score desc, neighbor id asc).
+    ``ops.similarity._topk_rows``: (score desc, neighbor id asc), ties at
+    the k-th place included.
 
     ``neighbor_id_dtype``: dtype of the ids ``score_fn`` returns (numpy
     dtype, or ``"string"`` for object ids).  Empty partitions emit a
@@ -273,6 +271,7 @@ def knn_join_copartitioned(queries, refs, bucket_fn, score_fn, k: int = 3,
     both = q.union(r)
 
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
+        from .ops.similarity import _topk_rows
         frames = []
         for _, g in df.groupby("_bucket", sort=False):
             qs = g[g["_side"] == "q"]
@@ -291,18 +290,11 @@ def knn_join_copartitioned(queries, refs, bucket_fn, score_fn, k: int = 3,
                 scores, ids = score_fn(qc, rs)
                 scores = np.asarray(scores, dtype=np.float64)
                 ids = np.asarray(ids)
-                nq, nr = scores.shape
-                kk = min(k, nr)
-                cand = np.argpartition(-scores, kk - 1, axis=1)[:, :kk]
-                row_idx = np.repeat(np.arange(nq), kk)
-                col_idx = cand.ravel()
-                s = scores[row_idx, col_idx]
-                # grouped by query row, then score desc, then id asc
-                order = np.lexsort((ids[col_idx], -s, row_idx))
-                frame = qc.iloc[row_idx[order]][qcols].reset_index(drop=True)
-                frame["neighbor_id"] = ids[col_idx[order]]
-                frame["score"] = s[order]
-                frame["rank"] = np.tile(np.arange(1, kk + 1), nq)
+                row, col, rank = _topk_rows(scores, ids, k, ascending=False)
+                frame = qc.iloc[row][qcols].reset_index(drop=True)
+                frame["neighbor_id"] = ids[col]
+                frame["score"] = scores[row, col]
+                frame["rank"] = rank
                 frames.append(frame)
         if not frames:
             qs = df[df["_side"] == "q"].iloc[0:0]

@@ -1,14 +1,26 @@
-"""Similarity search over an embedding column (``list<float>``):
-brute-force cosine top-k (exact baseline) and an IVF-style bucketed
-variant (the scale path).
+"""Similarity search over an embedding column (``list<float>``): exact
+and IVF cosine top-k, PQ / IVF-PQ ADC top-k, the all-pairs kNN graph,
+and the k-means / PCA fits behind them.
 
-Brute-force plan: the query matrix is SMALL — broadcast it (held in actor
-state / closure), compute per-batch partial top-k with one numpy matmul,
-then merge partials with one tiny ``groupby(query_id)``.  The data side
-streams; nothing materializes.
+Every search follows one plan (partition, verify inside the partition,
+merge once — the plan of Distributed Streaming Set Similarity Join,
+ICDE 2020) and one selection rule; only the scoring differs:
 
-IVF plan: seeded centroids (deterministic k-means-lite on a sample),
-map-side assignment to nearest centroid, search only the probed
+- ``_scan_topk`` is the one scan plan.  The query side is small and is
+  broadcast; each streaming batch gets a per-query partial top-k and
+  ``_merge_topk`` merges the partials once.  A search passes only
+  ``prepare(batch)``, which returns ``score(qx) -> (rows, val)``: the
+  batch rows query ``qx`` may reach (``None`` means all; IVF: the rows
+  of the probed buckets) and their values.
+- ``_topk_rows`` is the one selection rule, used by the scan, both
+  kNN-graph plans and the point kNN joins of ``georay.knn``.  Per row it
+  keeps the entries at or better than the row's k-th value (a cheap
+  filter that keeps every tie at the boundary), then one (row, value,
+  id) sort keeps ``k``: ties at the k-th place go to the lower id,
+  whatever the memory order.
+
+IVF: seeded centroids (deterministic k-means-lite on a sample),
+map-side assignment to the nearest centroid, search only the probed
 centroids' buckets — recall < 1 by design, verified against brute force
 in tests.
 """
@@ -102,6 +114,13 @@ def _vec_matrix_buffered(batch: pa.Table, vec_col: str,
     return out
 
 
+def _list_column(mat: np.ndarray, typ: pa.DataType) -> pa.ListArray:
+    """list<typ> column holding the rows of a 2-D matrix."""
+    n, w = mat.shape
+    offs = pa.array(np.arange(0, (n + 1) * w, w, dtype=np.int32))
+    return pa.ListArray.from_arrays(offs, pa.array(mat.ravel(), typ))
+
+
 # -- shared top-k merge -----------------------------------------------------
 
 _SMALL_MERGE_ROWS = 4096
@@ -150,9 +169,11 @@ def _empty_topk(key_col: str, id_col: str, val_col: str
 
 
 def _merge_topk(partials: "ray.data.Dataset", key_col: str, id_col: str,
-                val_col: str, k: int, n_keys: int,
+                val_col: str, k: int, n_keys: int | None,
                 ascending: bool) -> "ray.data.Dataset":
-    """Global per-key top-k from per-batch partial top-k rows.
+    """Global per-key top-k from per-batch partial top-k rows
+    (``n_keys=None``: the key count is unknown, e.g. one key per source
+    row of a kNN graph — the grouped path with adaptive partitions).
 
     Small-key fast path (``n_keys * k`` bounded): the merge is an
     ASSOCIATIVE combine — one vectorized keep-best-k map over coalesced
@@ -169,7 +190,7 @@ def _merge_topk(partials: "ray.data.Dataset", key_col: str, id_col: str,
     instead."""
     from ..shuffle import adaptive_partitions, grouped_map
 
-    if n_keys * k <= _SMALL_MERGE_ROWS:
+    if n_keys is not None and n_keys * k <= _SMALL_MERGE_ROWS:
         # batch_size=None is load-bearing: the combine FUSES with the
         # upstream partial map, so a row-count batch size here would set
         # the fused operator's input bundling and collapse the whole
@@ -198,9 +219,10 @@ def _merge_topk(partials: "ray.data.Dataset", key_col: str, id_col: str,
         g["rank"] = g.groupby(key_col, sort=False).cumcount() + 1
         return g
 
+    parts = adaptive_partitions()
     return grouped_map(partials, key_col, merge_partition,
-                       num_partitions=max(1, min(adaptive_partitions(),
-                                                 n_keys)),
+                       num_partitions=(parts if n_keys is None
+                                       else max(1, min(parts, n_keys))),
                        group_fn=False,
                        out_schema=pa.schema([
                            (key_col, pa.int64()), (id_col, pa.int64()),
@@ -208,70 +230,113 @@ def _merge_topk(partials: "ray.data.Dataset", key_col: str, id_col: str,
                            ("rank", pa.int64())]))
 
 
-def _tie_aware_topk(val: np.ndarray, ids: np.ndarray, kk: int,
-                    ascending: bool) -> np.ndarray:
-    """Indices of the first ``kk`` rows under the (val, id-asc) tie
-    contract — argpartition alone cuts boundary ties arbitrarily (exact
-    ties are COMMON for PQ ADC distances: identical codes give identical
-    distances), which made the per-batch selection partitioning-
-    dependent (round-4 advice).  Candidates = everything at or better
-    than the kk-th value, then a lexsort of just the candidates."""
-    v = val if ascending else -val
-    if kk >= len(v):
-        cand = np.arange(len(v))
+def _topk_rows(val: np.ndarray, ids: np.ndarray, k: int,
+               ascending: bool) -> tuple[np.ndarray, np.ndarray,
+                                         np.ndarray]:
+    """The one selection rule: per row of ``val`` ((rows, n), or one row
+    as a 1-D array; ``ids`` (n,) names the columns) the first ``k``
+    entries by (value, id asc), value ascending or descending.
+
+    A cheap filter keeps the entries at or better than the row's k-th
+    value, so every tie at the boundary survives (exact ties are common:
+    identical PQ codes or duplicate vectors score alike); one lexsort of
+    just those candidates is the exact verify.  A bare argpartition cuts
+    boundary ties by memory order, which made results depend on the
+    partitioning.  A row whose k-th value is NaN keeps all its entries
+    (NaN sorts last), so it still yields ``min(k, n)`` of them.
+
+    Returns (row, col, rank) arrays ordered by (row, rank), rank 1..k."""
+    v = np.atleast_2d(val if ascending else -val)
+    n = v.shape[1]
+    kk = min(k, n)
+    if kk <= 0:
+        e = np.zeros(0, np.int64)
+        return e, e, e
+    if kk < n:
+        thr = np.partition(v, kk - 1, axis=1)[:, kk - 1:kk]
+        cand = v <= thr
+        nan_thr = np.isnan(thr)
+        if nan_thr.any():
+            cand |= nan_thr
+        flat = np.flatnonzero(cand)
     else:
-        part = np.argpartition(v, kk - 1)[:kk]
-        thr = v[part].max()
-        cand = np.flatnonzero(v <= thr)
-    order = np.lexsort((ids[cand], v[cand]))
-    return cand[order[:kk]]
+        flat = np.arange(v.size)
+    row, col = np.divmod(flat, n)
+    order = np.lexsort((ids[col], v[row, col], row))
+    row, col = row[order], col[order]
+    rank = np.arange(1, len(row) + 1) - np.searchsorted(row, row)
+    keep = rank <= kk
+    return row[keep], col[keep], rank[keep]
+
+
+def _scan_topk(ds: "ray.data.Dataset", prepare, query_ids: np.ndarray,
+               k: int, id_col: str, val_col: str,
+               ascending: bool) -> "ray.data.Dataset":
+    """The one partial-top-k scan: ``prepare(batch)`` returns
+    ``score(qx) -> (rows, val)`` (the batch rows query ``qx`` may reach,
+    ``None`` for all, and their values); each batch keeps its per-query
+    ``_topk_rows`` and ``_merge_topk`` merges them.  Returns
+    (query_id, id_col, val_col, rank); a zero-query search returns the
+    typed empty result."""
+    qids = np.asarray(query_ids, dtype=np.int64)
+    if len(qids) == 0:
+        return _empty_topk("query_id", id_col, val_col)
+
+    def partial(batch: pa.Table) -> pa.Table:
+        default_gc()
+        out_q = [np.zeros(0, np.int64)]
+        out_id = [np.zeros(0, np.int64)]
+        out_v = [np.zeros(0, np.float64)]
+        if batch.num_rows:
+            ids = batch[id_col].to_numpy(zero_copy_only=False
+                                         ).astype(np.int64, copy=False)
+            score = prepare(batch)
+            for qx, qid in enumerate(qids):
+                rows, val = score(qx)
+                rid = ids if rows is None else ids[rows]
+                _, col, _ = _topk_rows(val, rid, k, ascending)
+                out_q.append(np.full(len(col), qid, np.int64))
+                out_id.append(rid[col])
+                out_v.append(val[col])
+        return pa.table({
+            "query_id": pa.array(np.concatenate(out_q), pa.int64()),
+            id_col: pa.array(np.concatenate(out_id), pa.int64()),
+            val_col: pa.array(np.concatenate(out_v), pa.float64())})
+
+    return _merge_topk(ds.map_batches(partial, batch_format="pyarrow"),
+                       "query_id", id_col, val_col, k, len(qids), ascending)
+
+
+def _cosines(batch: pa.Table, vec_col: str, qn: np.ndarray):
+    """(batch matrix, (nq, n) cosine matrix) for normalized queries
+    ``qn``.  Allocation-light: the f64 conversion and the similarity
+    matrix live in reused per-worker buffers (``_buf``), and the dot
+    products are divided by the row norms in place — one einsum for the
+    norms instead of a (n, dim) normalized copy."""
+    v = _vec_matrix_buffered(batch, vec_col, "scan_v")
+    nrm = np.sqrt(np.einsum("ij,ij->i", v, v))
+    np.maximum(nrm, 1e-12, out=nrm)
+    sim = _buf("scan_sim", (len(qn), len(v)))
+    np.dot(qn, v.T, out=sim)
+    sim /= nrm[None, :]
+    return v, sim
 
 
 def topk_cosine_brute(ds: "ray.data.Dataset", queries: np.ndarray,
                       k: int = 5, id_col: str = "vec_id",
                       vec_col: str = "embedding") -> "ray.data.Dataset":
-    """Exact top-k by cosine for each query row: per-batch matmul partial
-    top-k -> associative combine merge (``_merge_topk``).  Returns
-    (query_id, vec_id, cosine, rank) with rank 1..k, deterministic
-    tie-break on vec_id asc.  The partial is allocation-light: the f64
-    conversion, similarity matrix and its negation live in reused
-    per-worker buffers (``_buf``), and normalization divides the dot
-    products by the row norms in place — one einsum for norms instead of
-    a (n, dim) normalized copy."""
+    """Exact top-k by cosine for each query row: one matmul per batch
+    (``_cosines``), then the ``_scan_topk`` plan.  Returns (query_id,
+    vec_id, cosine, rank) with rank 1..k, deterministic tie-break on
+    vec_id asc."""
     qn = _normalize(np.asarray(queries, dtype=np.float64))
-    nq = len(qn)
-    if nq == 0:
-        return _empty_topk("query_id", id_col, "cosine")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        default_gc()
-        n = batch.num_rows
-        if n == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64()),
-                             "cosine": pa.array([], pa.float64())})
-        v = _vec_matrix_buffered(batch, vec_col, "topk_v")
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        nrm = np.sqrt(np.einsum("ij,ij->i", v, v))
-        np.maximum(nrm, 1e-12, out=nrm)
-        sim = _buf("topk_sim", (nq, n))
-        np.dot(qn, v.T, out=sim)
-        sim /= nrm[None, :]
-        kk = min(k, n)
-        out_q, out_id, out_s = [], [], []
-        for qi in range(nq):
-            sel = _tie_aware_topk(sim[qi], ids, kk, ascending=False)
-            out_q.append(np.full(len(sel), qi, np.int64))
-            out_id.append(ids[sel].astype(np.int64))
-            out_s.append(sim[qi, sel].astype(np.float64))
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q), pa.int64()),
-            id_col: pa.array(np.concatenate(out_id), pa.int64()),
-            "cosine": pa.array(np.concatenate(out_s), pa.float64())})
+    def prepare(batch: pa.Table):
+        _, sim = _cosines(batch, vec_col, qn)
+        return lambda qx: (None, sim[qx])
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return _merge_topk(partials, "query_id", id_col, "cosine", k, nq,
-                       ascending=False)
+    return _scan_topk(ds, prepare, np.arange(len(qn)), k, id_col, "cosine",
+                      ascending=False)
 
 
 def kmeans_lite(sample: np.ndarray, n_clusters: int, iters: int = 10,
@@ -301,48 +366,22 @@ def topk_cosine_ivf(ds: "ray.data.Dataset", queries: np.ndarray,
     embeddings)."""
     qn = _normalize(np.asarray(queries, dtype=np.float64))
     cn = _normalize(np.asarray(centroids, dtype=np.float64))
-    nq = len(qn)
-    if nq == 0:
-        return _empty_topk("query_id", id_col, "cosine")
     probe = np.argsort(-(qn @ cn.T), axis=1)[:, :n_probe]   # (q, n_probe)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        default_gc()
-        n = batch.num_rows
-        out_q, out_id, out_s = [], [], []
-        if n and nq:
-            v = _vec_matrix_buffered(batch, vec_col, "ivf_v")
-            ids = batch[id_col].to_numpy(zero_copy_only=False)
-            nrm = np.sqrt(np.einsum("ij,ij->i", v, v))
-            np.maximum(nrm, 1e-12, out=nrm)
-            # bucket assignment must use the NORMALIZED row (the
-            # kmeans_assign contract): (v @ cnT) / nrm preserves argmax
-            # since nrm > 0 scales each row uniformly
-            assign = np.argmax(v @ cn.T, axis=1)
-            sim = _buf("ivf_sim", (nq, n))
-            np.dot(qn, v.T, out=sim)
-            sim /= nrm[None, :]
-            kk = min(k, n)
-            for qi in range(nq):
-                mask = np.isin(assign, probe[qi])
-                if not mask.any():
-                    continue
-                cand = np.flatnonzero(mask)
-                sel = cand[_tie_aware_topk(sim[qi, cand], ids[cand],
-                                           min(kk, len(cand)),
-                                           ascending=False)]
-                out_q.append(np.full(len(sel), qi, np.int64))
-                out_id.append(ids[sel].astype(np.int64))
-                out_s.append(sim[qi, sel].astype(np.float64))
-        cat = (lambda p, dt: np.concatenate(p).astype(dt) if p
-               else np.zeros(0, dt))
-        return pa.table({"query_id": pa.array(cat(out_q, np.int64)),
-                         id_col: pa.array(cat(out_id, np.int64)),
-                         "cosine": pa.array(cat(out_s, np.float64))})
+    def prepare(batch: pa.Table):
+        v, sim = _cosines(batch, vec_col, qn)
+        # bucket assignment must use the NORMALIZED row (the
+        # kmeans_assign contract): (v @ cnT) / nrm preserves argmax
+        # since nrm > 0 scales each row uniformly
+        assign = np.argmax(v @ cn.T, axis=1)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return _merge_topk(partials, "query_id", id_col, "cosine", k, nq,
-                       ascending=False)
+        def score(qx):
+            rows = np.flatnonzero(np.isin(assign, probe[qx]))
+            return rows, sim[qx, rows]
+        return score
+
+    return _scan_topk(ds, prepare, np.arange(len(qn)), k, id_col, "cosine",
+                      ascending=False)
 
 
 def knn_graph(ds: "ray.data.Dataset", ref_ids: np.ndarray | None = None,
@@ -374,7 +413,9 @@ def knn_graph(ds: "ray.data.Dataset", ref_ids: np.ndarray | None = None,
       deterministic stride sample of the reference.
 
     auto: broadcast iff ``ref_vecs`` is provided and under the byte
-    guard, else bucketed."""
+    guard, else bucketed.  Ids must be unique: a row's self slot is the
+    reference with an equal id.  Both plans rank by (cosine desc,
+    nbr_id asc), ties at the k-th place included."""
     import ray
 
     if plan == "auto":
@@ -397,73 +438,44 @@ def knn_graph(ds: "ray.data.Dataset", ref_ids: np.ndarray | None = None,
         raise ValueError("broadcast knn_graph needs ref_ids and ref_vecs")
 
     rn = _normalize(np.asarray(ref_vecs, dtype=np.float64))
-    # self-exclusion lookup rides in the broadcast object: column index
-    # of each id in the reference (ids assumed unique; absent ids mask
-    # nothing) — shipping it in the closure would re-serialize 8 B/ref
-    # into every task
-    ref = ray.put((np.asarray(ref_ids, dtype=np.int64), rn.T.copy(),
-                   np.argsort(ref_ids, kind="mergesort")))
+    ref = ray.put((np.asarray(ref_ids, dtype=np.int64), rn.T.copy()))
 
     def partial(batch: pa.Table) -> pa.Table:
         default_gc()
-        ids_r, rnT, _r_order = ray.get(ref)
-        n_ref = rnT.shape[1]
-        v = vec_matrix(batch, vec_col)
-        srcs, nbrs, coss, ranks = [], [], [], []
-        if v.size:
-            ids = batch[id_col].to_numpy(zero_copy_only=False
-                                         ).astype(np.int64)
-            vn = _normalize(v)
-            # chunk rows so the (rows, n_ref) similarity matrix stays
-            # ~32 MB — at 1M refs a full 1024-row batch would be 8 GB,
-            # and N workers each holding fat temporaries multiply
-            rows_per = max(1, (4 << 20) // max(1, n_ref))
-            for lo in range(0, len(ids), rows_per):
-                hi = min(lo + rows_per, len(ids))
-                sim = vn[lo:hi] @ rnT                    # (c, n_ref)
-                cid = ids[lo:hi]
-                # self-exclusion by id (vectorized searchsorted lookup)
-                pos = np.searchsorted(ids_r[_r_order], cid)
-                pos = np.clip(pos, 0, n_ref - 1)
-                col = _r_order[pos]
-                hit = ids_r[col] == cid
-                sim[np.flatnonzero(hit), col[hit]] = -np.inf
-                # one extra partition slot, then keep-first-k per row
-                # AFTER dropping the -inf self slot: a query id absent
-                # from the reference set gets min(k, n_ref) neighbors,
-                # not n_ref - 1 (round-4 advice)
-                kk2 = min(k + 1, n_ref)
-                if kk2 <= 0:
-                    continue
-                part = np.argpartition(-sim, kk2 - 1, axis=1)[:, :kk2]
-                pcos = np.take_along_axis(sim, part, axis=1)
-                pids = ids_r[part]
-                c = hi - lo
-                rix = np.repeat(np.arange(c), kk2)
-                # (row, cosine desc, nbr id asc) — lexsort last-key-major
-                order = np.lexsort((pids.ravel(), -pcos.ravel(), rix))
-                cos_s = pcos.ravel()[order]
-                ids_s = pids.ravel()[order]
-                finite = cos_s > -np.inf
-                rows_f = rix[finite]   # rix is already row-major sorted
-                within = (np.arange(len(rows_f))
-                          - np.searchsorted(rows_f, np.arange(c))[rows_f])
-                keep = within < k
-                srcs.append(np.repeat(cid, kk2)[finite][keep])
-                nbrs.append(ids_s[finite][keep])
-                coss.append(cos_s[finite][keep])
-                ranks.append(within[keep] + 1)
-
-        def cat(parts, dt):
-            return (np.concatenate(parts).astype(dt) if parts
-                    else np.zeros(0, dt))
-
-        return pa.table({"src_id": pa.array(cat(srcs, np.int64)),
-                         "nbr_id": pa.array(cat(nbrs, np.int64)),
-                         "cosine": pa.array(cat(coss, np.float64)),
-                         "rank": pa.array(cat(ranks, np.int64))})
+        ids_r, rnT = ray.get(ref)
+        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        return _row_topk(_normalize(vec_matrix(batch, vec_col)), rnT, ids,
+                         ids_r, k)
 
     return ds.map_batches(partial, batch_format="pyarrow")
+
+
+_GRAPH_SCHEMA = pa.schema([("src_id", pa.int64()), ("nbr_id", pa.int64()),
+                           ("cosine", pa.float64()), ("rank", pa.int64())])
+
+
+def _row_topk(qn: np.ndarray, rT: np.ndarray, src: np.ndarray,
+              nbr: np.ndarray, k: int) -> pa.Table:
+    """kNN-graph rows shared by both plans: for each normalized query row
+    of ``qn`` (ids ``src``) its ``k`` most cosine-similar OTHER columns of
+    ``rT`` (ids ``nbr``; ids are unique, so the self slot is the one with
+    an equal id).  Rows are chunked so each (rows, refs) similarity block
+    stays ~32 MB — at 1M refs a full 1024-row batch would be 8 GB."""
+    out = [_GRAPH_SCHEMA.empty_table()]
+    rows_per = max(1, (4 << 20) // max(1, len(nbr)))
+    for lo in range(0, len(src), rows_per):
+        sim = qn[lo:lo + rows_per] @ rT
+        s = src[lo:lo + rows_per]
+        sim[s[:, None] == nbr[None, :]] = -np.inf
+        # one extra slot, then drop the masked self slot (it sorts last,
+        # so the ranks before it hold): a query id absent from the
+        # reference gets min(k, n_ref) neighbors, not n_ref - 1
+        row, col, rank = _topk_rows(sim, nbr, k + 1, ascending=False)
+        cos = sim[row, col]
+        keep = (cos > -np.inf) & (rank <= k)
+        out.append(pa.table([s[row[keep]], nbr[col[keep]], cos[keep],
+                             rank[keep]], schema=_GRAPH_SCHEMA))
+    return pa.concat_tables(out)
 
 
 def knn_graph_bucketed(ds: "ray.data.Dataset", centroids: np.ndarray,
@@ -490,7 +502,6 @@ def knn_graph_bucketed(ds: "ray.data.Dataset", centroids: np.ndarray,
     import ray
 
     cn = _normalize(np.asarray(centroids, dtype=np.float64))
-    dim = cn.shape[1]
     cref = ray.put(cn.T.copy())
 
     def _emit(batch: pa.Table, as_query: bool) -> pa.Table:
@@ -511,98 +522,41 @@ def knn_graph_bucketed(ds: "ray.data.Dataset", centroids: np.ndarray,
             reps = probes.shape[1]
             bkt = probes.reshape(-1).astype(np.int64)
             out_ids = np.repeat(ids, reps)
-            rows = np.repeat(np.arange(len(ids)), reps)
-            mat = vn[rows]
+            mat = vn[np.repeat(np.arange(len(ids)), reps)]
             side = np.ones(len(out_ids), np.int8)
         else:
             bkt = np.argmax(sims, axis=1).astype(np.int64)
             out_ids = ids
             mat = vn
             side = np.zeros(len(out_ids), np.int8)
-        offsets = pa.array(np.arange(0, (len(out_ids) + 1) * dim, dim,
-                                     dtype=np.int32))
-        vec = pa.ListArray.from_arrays(offsets,
-                                       pa.array(mat.ravel(), pa.float64()))
         return pa.table({"bucket": pa.array(bkt),
                          "side": pa.array(side, pa.int8()),
                          id_col: pa.array(out_ids, pa.int64()),
-                         "vec": vec})
+                         "vec": _list_column(mat, pa.float64())})
 
     rside = (refs if refs is not None else ds).map_batches(
         lambda b: _emit(b, as_query=False), batch_format="pyarrow")
     qside = ds.map_batches(lambda b: _emit(b, as_query=True),
                            batch_format="pyarrow")
 
-    cand_schema = pa.schema([("src_id", pa.int64()),
-                             ("nbr_id", pa.int64()),
-                             ("cosine", pa.float64())])
-
     def per_bucket(df: pd.DataFrame) -> pa.Table:
-        src_l, nbr_l, cos_l = [], [], []
+        out = [_GRAPH_SCHEMA.empty_table()]
         for _, g in df.groupby("bucket", sort=False):
             q = g[g["side"] == 1]
             r = g[g["side"] == 0]
             if not len(q) or not len(r):
                 continue
-            qm = np.stack(q["vec"].to_numpy())
             rm = np.stack(r["vec"].to_numpy())
-            qi = q[id_col].to_numpy(np.int64)
-            ri = r[id_col].to_numpy(np.int64)
-            nr = len(ri)
-            kk = min(k, nr)
-            # one extra slot so dropping the self match never cuts the
-            # true k-th best; fully vectorized per-bucket top-k (the
-            # per-query-row loop was the stage's dominant cost)
-            kk2 = min(kk + 1, nr)
-            rows_per = max(1, (4 << 20) // nr)
-            for lo in range(0, len(qi), rows_per):
-                hi = min(lo + rows_per, len(qi))
-                sim = qm[lo:hi] @ rm.T                     # (c, nr)
-                sim[qi[lo:hi, None] == ri[None, :]] = -np.inf
-                c = hi - lo
-                part = np.argpartition(-sim, kk2 - 1, axis=1)[:, :kk2]
-                pcos = np.take_along_axis(sim, part, axis=1)
-                pids = ri[part]
-                rix = np.repeat(np.arange(c), kk2)
-                # (row, cosine desc, nbr id asc), then drop self slots
-                # and keep the first kk per row
-                order = np.lexsort((pids.ravel(), -pcos.ravel(), rix))
-                cos_s = pcos.ravel()[order]
-                ids_s = pids.ravel()[order]
-                finite = np.isfinite(cos_s)
-                rows_f = rix[finite]
-                cum = (np.arange(len(rows_f))
-                       - np.searchsorted(rows_f, np.arange(c))[rows_f])
-                keep = cum < kk
-                src_l.append(np.repeat(qi[lo:hi], kk2)[finite][keep])
-                nbr_l.append(ids_s[finite][keep])
-                cos_l.append(cos_s[finite][keep])
-
-        def cat(parts, dt):
-            return (np.concatenate(parts).astype(dt) if parts
-                    else np.zeros(0, dt))
-
-        return pa.table({"src_id": pa.array(cat(src_l, np.int64)),
-                         "nbr_id": pa.array(cat(nbr_l, np.int64)),
-                         "cosine": pa.array(cat(cos_l, np.float64))})
+            out.append(_row_topk(np.stack(q["vec"].to_numpy()), rm.T,
+                                 q[id_col].to_numpy(np.int64),
+                                 r[id_col].to_numpy(np.int64), k))
+        return pa.concat_tables(out).drop_columns(["rank"])
 
     from ..shuffle import grouped_map
     cands = grouped_map(rside.union(qside), "bucket", per_bucket,
-                        group_fn=False, out_schema=cand_schema)
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["src_id", "cosine", "nbr_id"],
-                            ascending=[True, False, True],
-                            kind="mergesort")
-        g = df.groupby("src_id", sort=False).head(k).copy()
-        g["rank"] = g.groupby("src_id", sort=False).cumcount() + 1
-        return g
-
-    return grouped_map(cands, "src_id", merge, group_fn=False,
-                       out_schema=pa.schema([
-                           ("src_id", pa.int64()), ("nbr_id", pa.int64()),
-                           ("cosine", pa.float64()),
-                           ("rank", pa.int64())]))
+                        group_fn=False)
+    return _merge_topk(cands, "src_id", "nbr_id", "cosine", k, None,
+                       ascending=False)
 
 
 def kmeans_fit(ds: "ray.data.Dataset", init: np.ndarray, iters: int = 5,
@@ -841,9 +795,9 @@ def pq_fit_streamed(ds: "ray.data.Dataset", m: int = 8, n_codes: int = 16,
     design (the codebook is tiny), but its input sample must not assume
     the corpus fits anywhere.  Pass 1 ranks every row by
     ``md5(str(id))`` (deterministic, layout-independent — the
-    ``deterministic_sample_per_key`` convention) with per-batch partial
-    top-``sample_size`` and the bounded combine-merge of the top-k
-    machinery, moving only (id, hash) pairs; pass 2 fetches just the
+    ``deterministic_sample_per_key`` convention) through the
+    ``_scan_topk`` plan as one query of top-``sample_size``, moving only
+    (id, hash) pairs; pass 2 fetches just the
     selected rows' vectors via a broadcast id filter.  Only
     ``sample_size x dim`` floats ever reach the driver, at any corpus
     size."""
@@ -856,21 +810,13 @@ def pq_fit_streamed(ds: "ray.data.Dataset", m: int = 8, n_codes: int = 16,
         return float(int(hashlib.md5(str(i).encode()).hexdigest()[:13],
                          16))
 
-    def rank_partial(batch: pa.Table) -> pa.Table:
-        default_gc()
+    def prepare(batch: pa.Table):
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         hv = np.array([_hval(i) for i in ids], dtype=np.float64)
-        sel = _tie_aware_topk(hv, ids.astype(np.int64),
-                              min(sample_size, len(ids)), ascending=True)
-        return pa.table({
-            "query_id": pa.array(np.zeros(len(sel), np.int64)),
-            id_col: pa.array(ids[sel].astype(np.int64), pa.int64()),
-            "hval": pa.array(hv[sel], pa.float64())})
+        return lambda qx: (None, hv)
 
-    ranked = _merge_topk(ds.map_batches(rank_partial,
-                                        batch_format="pyarrow"),
-                         "query_id", id_col, "hval", sample_size, 1,
-                         ascending=True).to_pandas()
+    ranked = _scan_topk(ds, prepare, np.zeros(1, np.int64), sample_size,
+                        id_col, "hval", ascending=True).to_pandas()
     sel_ids = np.sort(ranked[id_col].to_numpy(np.int64))
     ref = ray.put(sel_ids)
 
@@ -893,17 +839,39 @@ def pq_fit_streamed(ds: "ray.data.Dataset", m: int = 8, n_codes: int = 16,
     return pq_fit(sample, m=m, n_codes=n_codes, iters=iters, seed=seed)
 
 
+def _adc_lut(x: np.ndarray, books: np.ndarray) -> np.ndarray:
+    """(n, m, n_codes) direct squared distances of every row's m
+    subvectors to every code of its subspace: the ADC lookup table of a
+    query set, and the argmin input of encoding."""
+    x = np.asarray(x, dtype=np.float64)
+    books = np.asarray(books, dtype=np.float64)
+    m, n_codes, dsub = books.shape
+    lut = np.empty((len(x), m, n_codes), dtype=np.float64)
+    for j in range(m):
+        sub = x[:, j * dsub:(j + 1) * dsub]
+        lut[:, j, :] = ((sub[:, None, :] - books[j][None, :, :]) ** 2
+                        ).sum(axis=2)
+    return lut
+
+
 def _subspace_codes(v: np.ndarray, books: np.ndarray) -> np.ndarray:
     """(n, m) int64 code assignment, direct squared distance, first-min
     tie -> lowest code id (numpy argmin)."""
-    n = v.shape[0]
-    m, n_codes, dsub = books.shape
-    codes = np.empty((n, m), dtype=np.int64)
-    for j in range(m):
-        sub = v[:, j * dsub:(j + 1) * dsub]
-        d = ((sub[:, None, :] - books[j][None, :, :]) ** 2).sum(axis=2)
-        codes[:, j] = np.argmin(d, axis=1)
-    return codes
+    return np.argmin(_adc_lut(v, books), axis=2)
+
+
+def _adc(lut_q: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """ADC distances of coded rows to one query: the m LUT values added
+    in subspace order 0..m-1 (bit-reproducible by the SQL oracles)."""
+    dist = lut_q[0, codes[:, 0]]
+    for j in range(1, codes.shape[1]):
+        dist += lut_q[j, codes[:, j]]
+    return dist
+
+
+def _batch_codes(batch: pa.Table) -> np.ndarray:
+    """(n, m) int64 view of a non-empty batch's ``codes`` column."""
+    return _vec_view(batch["codes"]).astype(np.int64, copy=False)
 
 
 def pq_encode(ds: "ray.data.Dataset", books: np.ndarray,
@@ -913,9 +881,7 @@ def pq_encode(ds: "ray.data.Dataset", books: np.ndarray,
     n_codes, dsub) codebook via ``ray.put``, streaming encode."""
     import ray
 
-    b = np.asarray(books, dtype=np.float64)
-    ref = ray.put(b)
-    m = b.shape[0]
+    ref = ray.put(np.asarray(books, dtype=np.float64))
 
     def enc(batch: pa.Table) -> pa.Table:
         default_gc()
@@ -923,12 +889,9 @@ def pq_encode(ds: "ray.data.Dataset", books: np.ndarray,
         if not v.size:
             return pa.table({id_col: pa.array([], pa.int64()),
                              "codes": pa.array([], pa.list_(pa.int64()))})
-        codes = _subspace_codes(v, ray.get(ref))
-        offs = pa.array(np.arange(0, (len(codes) + 1) * m,
-                                  m, dtype=np.int32))
-        arr = pa.ListArray.from_arrays(offs, pa.array(codes.ravel(),
-                                                      pa.int64()))
-        return pa.table({id_col: batch[id_col], "codes": arr})
+        return pa.table({id_col: batch[id_col],
+                         "codes": _list_column(_subspace_codes(
+                             v, ray.get(ref)), pa.int64())})
 
     return ds.map_batches(enc, batch_format="pyarrow")
 
@@ -939,59 +902,19 @@ def pq_topk(encoded: "ray.data.Dataset", books: np.ndarray,
     """ADC top-k over PQ-encoded vectors: per query one exact (m x
     n_codes) subspace-distance LUT (computed once on the driver,
     broadcast), each encoded row costs m lookups + m-1 adds IN SUBSPACE
-    ORDER (bit-reproducible).  Map-side partial top-k, then the same
-    per-query grouped merge as the brute path.  Ties: (dist asc, id
-    asc)."""
+    ORDER (bit-reproducible).  The ``_scan_topk`` plan; ties: (dist asc,
+    id asc) — exact ADC ties are common, identical codes give identical
+    distances."""
     import ray
 
-    b = np.asarray(books, dtype=np.float64)
-    q = np.asarray(queries, dtype=np.float64)
-    m, n_codes, dsub = b.shape
-    nq = len(q)
-    if nq == 0:
-        return _empty_topk("query_id", id_col, "adc_dist")
-    lut = np.empty((nq, m, n_codes), dtype=np.float64)
-    for j in range(m):
-        qs = q[:, j * dsub:(j + 1) * dsub]
-        lut[:, j, :] = ((qs[:, None, :] - b[j][None, :, :]) ** 2
-                        ).sum(axis=2)
-    qi = np.asarray(query_ids, dtype=np.int64)
-    ref = ray.put(lut)
+    ref = ray.put(_adc_lut(queries, books))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        default_gc()
-        qid_l, vid_l, d_l = [], [], []
-        n = batch.num_rows
-        if n:
-            lt = ray.get(ref)
-            ids = batch[id_col].to_numpy(zero_copy_only=False
-                                         ).astype(np.int64, copy=False)
-            flat = batch["codes"].combine_chunks().flatten().to_numpy(
-                zero_copy_only=False).astype(np.int64,
-                                             copy=False).reshape(n, m)
-            for qx in range(nq):
-                # fixed-order accumulation: subspace 0..m-1
-                dist = lt[qx, 0, flat[:, 0]].copy()
-                for j in range(1, m):
-                    dist += lt[qx, j, flat[:, j]]
-                kk = min(k, n)
-                # tie-aware: exact ADC ties are common (identical codes
-                # give identical distances); a bare argpartition cut
-                # boundary ties by memory order, making the selection
-                # partitioning-dependent (round-4 advice)
-                sel = _tie_aware_topk(dist, ids, kk, ascending=True)
-                qid_l.append(np.full(len(sel), qi[qx], np.int64))
-                vid_l.append(ids[sel])
-                d_l.append(dist[sel])
-        cat = (lambda p, dt: np.concatenate(p).astype(dt) if p
-               else np.zeros(0, dt))
-        return pa.table({"query_id": pa.array(cat(qid_l, np.int64)),
-                         id_col: pa.array(cat(vid_l, np.int64)),
-                         "adc_dist": pa.array(cat(d_l, np.float64))})
+    def prepare(batch: pa.Table):
+        lut, codes = ray.get(ref), _batch_codes(batch)
+        return lambda qx: (None, _adc(lut[qx], codes))
 
-    partials = encoded.map_batches(partial, batch_format="pyarrow")
-    return _merge_topk(partials, "query_id", id_col, "adc_dist", k, nq,
-                       ascending=True)
+    return _scan_topk(encoded, prepare, query_ids, k, id_col, "adc_dist",
+                      ascending=True)
 
 
 def pq_encode_ivf(ds: "ray.data.Dataset", books: np.ndarray,
@@ -1005,10 +928,8 @@ def pq_encode_ivf(ds: "ray.data.Dataset", books: np.ndarray,
     an 8-byte payload instead of dim floats."""
     import ray
 
-    b = np.asarray(books, dtype=np.float64)
     cn = _normalize(np.asarray(centroids, dtype=np.float64))
-    ref = ray.put((b, cn.T.copy()))
-    m = b.shape[0]
+    ref = ray.put((np.asarray(books, dtype=np.float64), cn.T.copy()))
 
     def enc(batch: pa.Table) -> pa.Table:
         default_gc()
@@ -1019,14 +940,10 @@ def pq_encode_ivf(ds: "ray.data.Dataset", books: np.ndarray,
                              "codes": pa.array([], pa.list_(pa.int64()))})
         bb, cnT = ray.get(ref)
         bkt = np.argmax(_normalize(v) @ cnT, axis=1).astype(np.int64)
-        codes = _subspace_codes(v, bb)
-        offs = pa.array(np.arange(0, (len(codes) + 1) * m,
-                                  m, dtype=np.int32))
-        arr = pa.ListArray.from_arrays(offs, pa.array(codes.ravel(),
-                                                      pa.int64()))
         return pa.table({id_col: batch[id_col],
                          "bucket": pa.array(bkt, pa.int64()),
-                         "codes": arr})
+                         "codes": _list_column(_subspace_codes(v, bb),
+                                               pa.int64())})
 
     return ds.map_batches(enc, batch_format="pyarrow")
 
@@ -1042,56 +959,20 @@ def pq_topk_ivf(encoded: "ray.data.Dataset", books: np.ndarray,
     scored, which is the IVF cost cut."""
     import ray
 
-    b = np.asarray(books, dtype=np.float64)
     q = np.asarray(queries, dtype=np.float64)
     cn = _normalize(np.asarray(centroids, dtype=np.float64))
-    m, n_codes, dsub = b.shape
-    nq = len(q)
-    if nq == 0:
-        return _empty_topk("query_id", id_col, "adc_dist")
     probe = np.argsort(-(_normalize(q) @ cn.T), axis=1,
                        kind="stable")[:, :n_probe]
-    lut = np.empty((nq, m, n_codes), dtype=np.float64)
-    for j in range(m):
-        qs = q[:, j * dsub:(j + 1) * dsub]
-        lut[:, j, :] = ((qs[:, None, :] - b[j][None, :, :]) ** 2
-                        ).sum(axis=2)
-    qi = np.asarray(query_ids, dtype=np.int64)
-    ref = ray.put((lut, probe))
+    ref = ray.put((_adc_lut(q, books), probe))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        default_gc()
-        qid_l, vid_l, d_l = [], [], []
-        n = batch.num_rows
-        if n:
-            lt, pr = ray.get(ref)
-            ids = batch[id_col].to_numpy(zero_copy_only=False
-                                         ).astype(np.int64, copy=False)
-            bkt = batch["bucket"].to_numpy(zero_copy_only=False
-                                           ).astype(np.int64, copy=False)
-            flat = batch["codes"].combine_chunks().flatten().to_numpy(
-                zero_copy_only=False).astype(np.int64,
-                                             copy=False).reshape(n, m)
-            for qx in range(nq):
-                mask = np.isin(bkt, pr[qx])
-                if not mask.any():
-                    continue
-                rows = np.flatnonzero(mask)
-                dist = lt[qx, 0, flat[rows, 0]].copy()
-                for j in range(1, m):
-                    dist += lt[qx, j, flat[rows, j]]
-                kk = min(k, len(rows))
-                # tie-aware boundary selection — same contract as pq_topk
-                sel = _tie_aware_topk(dist, ids[rows], kk, ascending=True)
-                qid_l.append(np.full(len(sel), qi[qx], np.int64))
-                vid_l.append(ids[rows[sel]])
-                d_l.append(dist[sel])
-        cat = (lambda p, dt: np.concatenate(p).astype(dt) if p
-               else np.zeros(0, dt))
-        return pa.table({"query_id": pa.array(cat(qid_l, np.int64)),
-                         id_col: pa.array(cat(vid_l, np.int64)),
-                         "adc_dist": pa.array(cat(d_l, np.float64))})
+    def prepare(batch: pa.Table):
+        (lut, pr), codes = ray.get(ref), _batch_codes(batch)
+        bkt = batch["bucket"].to_numpy(zero_copy_only=False)
 
-    partials = encoded.map_batches(partial, batch_format="pyarrow")
-    return _merge_topk(partials, "query_id", id_col, "adc_dist", k, nq,
-                       ascending=True)
+        def score(qx):
+            rows = np.flatnonzero(np.isin(bkt, pr[qx]))
+            return rows, _adc(lut[qx], codes[rows])
+        return score
+
+    return _scan_topk(encoded, prepare, query_ids, k, id_col, "adc_dist",
+                      ascending=True)

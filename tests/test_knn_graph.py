@@ -29,6 +29,18 @@ def vecs():
     return tbl, m
 
 
+def _dup_block_table(n=400, dim=8):
+    """Rows 100-139 are one repeated vector and the ids are a permutation
+    of memory order: every source in the block has exact ties at its
+    k-th place, which only the id tie-break may cut."""
+    _, m = _vec_table(n, dim)
+    m[100:140] = m[100]
+    ids = np.random.default_rng(5).permutation(n).astype(np.int64) + 1000
+    offsets = pa.array(np.arange(0, (n + 1) * dim, dim, dtype=np.int32))
+    emb = pa.ListArray.from_arrays(offsets, pa.array(m.ravel()))
+    return pa.table({"vec_id": pa.array(ids), "embedding": emb}), m
+
+
 def _run(ds_tbl, **kw):
     ds = ray.data.from_arrow(ds_tbl).repartition(6)
     out = knn_graph(ds, **kw).to_pandas()
@@ -36,14 +48,19 @@ def _run(ds_tbl, **kw):
 
 
 def test_bucketed_full_probe_equals_broadcast(ray_session, vecs):
-    tbl, m = vecs
-    ids = np.arange(len(m))
-    cents = kmeans_lite(m[::7], n_clusters=6)
-    brute = _run(tbl, ref_ids=ids, ref_vecs=m, k=3, plan="broadcast")
-    bucketed = _run(tbl, k=3, plan="bucketed", centroids=cents,
-                    n_probe=len(cents))
-    assert brute[["src_id", "nbr_id", "rank"]].equals(
-        bucketed[["src_id", "nbr_id", "rank"]])
+    for tbl, m in (vecs, _dup_block_table()):
+        ids = tbl["vec_id"].to_numpy()
+        cents = kmeans_lite(m[::7], n_clusters=6)
+        brute = _run(tbl, ref_ids=ids, ref_vecs=m, k=3, plan="broadcast")
+        bucketed = _run(tbl, k=3, plan="bucketed", centroids=cents,
+                        n_probe=len(cents))
+        assert brute[["src_id", "nbr_id", "rank"]].equals(
+            bucketed[["src_id", "nbr_id", "rank"]])
+    # the tied block keeps its lowest other ids, in id order
+    block = np.sort(ids[100:140])
+    for src in block:
+        got = brute[brute["src_id"] == src]["nbr_id"].tolist()
+        assert got == [i for i in block if i != src][:3], src
 
 
 def test_bucketed_low_probe_recall(ray_session, vecs):

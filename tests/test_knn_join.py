@@ -2,6 +2,7 @@
 
 import numpy as np
 import pandas as pd
+import pytest
 
 import ray.data
 
@@ -24,6 +25,49 @@ def test_knn_points_broadcast_exact():
     exp = ref_ids[np.lexsort((ref_ids, d))[:3]]
     got = out[out["qid"] == 0].sort_values("rank")["neighbor_id"].to_numpy()
     assert (got == exp).all()
+
+
+def test_knn_points_broadcast_ties_cut_by_id():
+    """40 co-located references tie exactly; the k kept are the lowest
+    ids whatever order the references arrive in."""
+    rng = np.random.default_rng(8)
+    lat = np.r_[np.full(40, 50.0), rng.uniform(49, 52, 60)]
+    lon = np.r_[np.full(40, 4.0), rng.uniform(2, 6, 60)]
+    ids = np.arange(100)
+    q = pd.DataFrame({"qid": [0], "lat": [50.001], "lon": [4.001]})
+    for perm in (np.arange(100), rng.permutation(100), np.arange(100)[::-1]):
+        out = knn_points_broadcast(q, lat[perm], lon[perm], ids[perm], k=3)
+        assert out.sort_values("rank")["neighbor_id"].tolist() == [0, 1, 2]
+
+
+def test_knn_points_broadcast_nan_query_keeps_k_rows():
+    rng = np.random.default_rng(9)
+    q = pd.DataFrame({"qid": [0, 1], "lat": [np.nan, 50.5],
+                      "lon": [4.0, 4.0]})
+    out = knn_points_broadcast(q, rng.uniform(49, 52, 50),
+                               rng.uniform(2, 6, 50), np.arange(50), k=3)
+    assert (out.groupby("qid").size() == 3).all() and len(out) == 6
+    assert out[out["qid"] == 0]["dist_km"].isna().all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_knn_join_copartitioned_ties_cut_by_id(ray_session, seed):
+    """Every reference of the bucket scores the same; whatever order the
+    references arrive in, the k kept are the lowest ids."""
+    rids = np.random.default_rng(seed).permutation(30) + 100
+    queries = ray.data.from_items([{"qid": i, "b": 0} for i in range(4)])
+    refs = ray.data.from_items([{"rid": int(r), "b": 0} for r in rids])
+
+    def score_fn(q_df, ref_df):
+        return (np.ones((len(q_df), len(ref_df))),
+                ref_df["rid"].to_numpy())
+
+    out = knn_join_copartitioned(queries, refs, lambda df: df["b"],
+                                 score_fn, k=3,
+                                 query_cols=["qid"]).to_pandas()
+    for _, g in out.groupby("qid"):
+        assert g.sort_values("rank")["neighbor_id"].tolist() == [100, 101,
+                                                                102]
 
 
 def test_knn_join_copartitioned(ray_session):

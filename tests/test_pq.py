@@ -8,8 +8,9 @@ import pyarrow as pa
 import pytest
 import ray
 
-from georay.ops.similarity import (pq_encode, pq_fit, pq_topk,
-                                   topk_cosine_brute)
+from georay.ops.similarity import (kmeans_lite, pq_encode, pq_encode_ivf,
+                                   pq_fit, pq_topk, pq_topk_ivf,
+                                   topk_cosine_brute, topk_cosine_ivf)
 
 
 def _vecs(n=600, dim=64, seed=11, with_labels=False):
@@ -125,12 +126,49 @@ def test_pq_topk_tie_aware_across_partitions(ray_session):
             assert got == exp, f"partitioning changed tie result at {parts}"
 
 
+def test_full_probe_ivf_equals_exact_search(ray_session):
+    """With every bucket probed the IVF searches score every row, so they
+    must reproduce the exact searches bit for bit (ids, values, ranks);
+    the duplicated rows put exact ties at the k-th place."""
+    v = _vecs(600)
+    v[40:60] = v[40]
+    books = pq_fit(v[:256], m=8, n_codes=16)
+    cents = kmeans_lite(v[::5], n_clusters=6)
+    q, qids = v[[3, 40, 300]] + 0.01, np.array([7, 8, 9])
+    cols = ["query_id", "vec_id", "adc_dist", "rank"]
+
+    def run(ds):
+        return ds.to_pandas().sort_values(cols[:1] + ["rank"]
+                                          ).reset_index(drop=True)
+
+    exact = run(pq_topk(pq_encode(_ds(v), books), books, q, qids, k=5))
+    ivf = run(pq_topk_ivf(pq_encode_ivf(_ds(v), books, cents), books,
+                          cents, q, qids, k=5, n_probe=len(cents)))
+    assert exact[cols].equals(ivf[cols])
+    cols[2] = "cosine"
+    exact = run(topk_cosine_brute(_ds(v), q, k=5))
+    ivf = run(topk_cosine_ivf(_ds(v), q, cents, k=5, n_probe=len(cents)))
+    assert exact[cols].equals(ivf[cols])
+
+
 def test_topk_empty_query_set(ray_session):
-    """Zero queries is a valid input: returns an empty (typed) dataset
-    instead of erroring on num_partitions=0 (round-4 advice)."""
+    """Zero queries is a valid input for every search: each returns an
+    empty (typed) dataset instead of erroring on num_partitions=0
+    (round-4 advice); the PQ pair builds its LUT from the (0, dim) query
+    array before the scan."""
     v = _vecs(50)
-    ds = topk_cosine_brute(_ds(v), np.empty((0, 64)), k=3)
-    assert ds.count() == 0
-    # schema survives even though empty (to_pandas drops columns on
-    # empty datasets — a Ray quirk, not an engine one)
-    assert ds.schema().names == ["query_id", "vec_id", "cosine", "rank"]
+    books = pq_fit(v, m=8, n_codes=4)
+    cents = kmeans_lite(v, n_clusters=3)
+    none = np.empty((0, 64))
+    no_ids = np.empty(0, np.int64)
+    for ds, val in (
+            (topk_cosine_brute(_ds(v), none, k=3), "cosine"),
+            (topk_cosine_ivf(_ds(v), none, cents, k=3), "cosine"),
+            (pq_topk(pq_encode(_ds(v), books), books, none, no_ids, k=3),
+             "adc_dist"),
+            (pq_topk_ivf(pq_encode_ivf(_ds(v), books, cents), books, cents,
+                         none, no_ids, k=3), "adc_dist")):
+        assert ds.count() == 0
+        # schema survives even though empty (to_pandas drops columns on
+        # empty datasets — a Ray quirk, not an engine one)
+        assert ds.schema().names == ["query_id", "vec_id", val, "rank"]

@@ -126,3 +126,24 @@ def test_customer_sums_stay_exact_past_2_pow_53():
     joined = _left_join_orders(df).to_pydict()
     assert joined == {"c_custkey": [1, 2], "c_nationkey": [3, 4],
                       "n_orders": [2, 0], "rev_cents": [big + 1, 0]}
+
+
+def test_pair_key_round_trips_and_rejects_wide_ids():
+    import numpy as np
+    import pytest
+
+    from georay.entrylib import _pair_ids, _pair_key
+    top = (1 << 32) - 1
+    a = np.array([0, 0, 1, (1 << 31) - 1, 1 << 31, top, top])
+    b = np.array([0, top, 0, 1 << 31, (1 << 31) - 1, 0, top])
+    key = _pair_key(a, b)
+    assert len(set(key.tolist())) == len(a)
+    ga, gb = _pair_ids(key)
+    assert (ga == a).all() and (gb == b).all()
+    # below 2**31 the key is plain a * 2**32 + b
+    assert _pair_key(np.array([3]), np.array([5]))[0] == 3 * 2 ** 32 + 5
+    for bad in (-1, 1 << 32):
+        with pytest.raises(ValueError):
+            _pair_key(np.array([bad]), np.array([0]))
+        with pytest.raises(ValueError):
+            _pair_key(np.array([0]), np.array([bad]))
