@@ -77,9 +77,9 @@ def ensure_synth(sf_dir: str) -> str:
     pq.write_table(pa.Table.from_pandas(places, preserve_index=False),
                    os.path.join(tmp, "gazetteer.parquet"))
     # bnd_idx: explicit row index — the engine's PolygonIndex.locate
-    # returns the FIRST containing polygon in build order (hit points
-    # leave the undecided set), so the PIP oracle SQL needs a stable
-    # ordinal to replicate the tie-break for overlapping rings
+    # returns the lowest polygon index among containing candidates, so
+    # the PIP oracle SQL needs a stable ordinal to replicate the
+    # tie-break for overlapping rings
     boundaries = boundaries.reset_index(drop=True)
     boundaries["bnd_idx"] = boundaries.index.astype("int64")
     bnd = pa.Table.from_pandas(boundaries, preserve_index=False)
@@ -783,9 +783,10 @@ def q_geo_zone_join(sf_dir: str):
     street gets the bnd_idx of its containing admin ring (overlaps
     resolved to the MINIMUM bnd_idx, -1 if outside all).  The polygon
     set is bounded, so each worker builds the bbox-grid PolygonIndex
-    once (process-cached, built sorted by bnd_idx so locate's
-    first-in-build-order tie-break IS min bnd_idx) and the point side
-    streams through ONE stateless map_batches — no shuffle.  Oracle:
+    once (process-cached, built sorted by bnd_idx so locate's tie-break,
+    the lowest polygon index among containing candidates, IS min
+    bnd_idx) and the point side streams through ONE stateless
+    map_batches — no shuffle; the zone is one take by polygon row.  Oracle:
     the bit-verified even-odd crossing SQL (geo_pip_validate) per
     (point, ring) with min(bnd_idx) over containing rings."""
     d = ensure_synth(sf_dir)
@@ -793,8 +794,8 @@ def q_geo_zone_join(sf_dir: str):
 
     def assign(batch: pa.Table) -> pa.Table:
         from .geom import PolygonIndex
-        idx = _ZONE_CACHE.get(bpath)
-        if idx is None:
+        cached = _ZONE_CACHE.get(bpath)
+        if cached is None:
             t = pq.read_table(bpath,
                               columns=["bnd_idx", "ring_lat", "ring_lon"])
             bi = t["bnd_idx"].to_numpy(zero_copy_only=False)
@@ -802,14 +803,15 @@ def q_geo_zone_join(sf_dir: str):
             lats = t["ring_lat"].to_pylist()
             lons = t["ring_lon"].to_pylist()
             idx = PolygonIndex(
-                [int(bi[i]) for i in order],
                 [(np.asarray(lats[i], np.float64),
                   np.asarray(lons[i], np.float64)) for i in order])
-            _ZONE_CACHE[bpath] = idx
+            # zone per polygon row, with -1 last for row -1 (outside all)
+            zone_of_row = np.r_[bi[order], -1].astype(np.int64)
+            cached = _ZONE_CACHE[bpath] = (idx, zone_of_row)
+        idx, zone_of_row = cached
         lat = batch["lat"].to_numpy(zero_copy_only=False)
         lon = batch["lon"].to_numpy(zero_copy_only=False)
-        loc = idx.locate(lat, lon)
-        z = np.array([-1 if v is None else v for v in loc], np.int64)
+        z = zone_of_row[idx.locate(lat, lon)]
         return pa.table({"place_id": batch["place_id"],
                          "zone": pa.array(z)})
 
@@ -2243,11 +2245,11 @@ def q_geo_pip_validate(sf_dir: str):
     cascade with the tile annotator, snapshot every matched row's
     (addr_key, post_code, o_lat, o_lon, pip_ok); the SQL side re-derives
     pip_ok from the raw boundary rings with the same even-odd ray cast
-    (verified bit-identical to geom.point_in_polygon over 12k sample
-    points) and the engine's first-containing tie-break (min bnd_idx —
-    PolygonIndex.locate clears hit points from its undecided set, so
-    the first containing polygon in build order wins).  A wrong pip bit
-    anywhere hash-mismatches."""
+    (verified bit-identical to the geom._crosses kernel over 12k sample
+    points) and the engine's tie-break (min bnd_idx — PolygonIndex.locate
+    returns the lowest polygon index among containing candidates, and
+    the index is built in bnd_idx order).  A wrong pip bit anywhere
+    hash-mismatches."""
     from .pipeline import geocode_addresses
     d = ensure_synth(sf_dir)
     ds = ray.data.read_parquet(

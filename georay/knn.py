@@ -255,7 +255,9 @@ def knn_join_copartitioned(queries, refs, bucket_fn, score_fn, k: int = 3,
     dtype, or ``"string"`` for object ids).  Empty partitions emit a
     typed empty block with this dtype — without it an all-empty
     partition would pin neighbor_id to int64 and a string-id stream
-    would mix block schemas."""
+    would mix block schemas.  Integer columns keep their dtype: the
+    union of the two sides reaches ``per_partition`` with nullable ints,
+    so ids past 2**53 stay exact."""
     import ray.data  # noqa: F401
 
     def tag(side):
@@ -272,11 +274,16 @@ def knn_join_copartitioned(queries, refs, bucket_fn, score_fn, k: int = 3,
 
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
         from .ops.similarity import _topk_rows
+        # split the union once; each side's own integer columns have no
+        # nulls, so they go back to exact numpy ints
+        q_all = _dense_ints(df[df["_side"] == "q"])
+        r_all = _dense_ints(df[df["_side"] == "r"])
+        q_of = dict(list(q_all.groupby("_bucket", sort=False)))
+        r_of = dict(list(r_all.groupby("_bucket", sort=False)))
         frames = []
-        for _, g in df.groupby("_bucket", sort=False):
-            qs = g[g["_side"] == "q"]
-            rs = g[g["_side"] == "r"]
-            if qs.empty or rs.empty:
+        for b in df["_bucket"].unique():
+            qs, rs = q_of.get(b), r_of.get(b)
+            if qs is None or rs is None:
                 continue
             qcols = [c for c in (query_cols if query_cols is not None
                                  else qs.columns)
@@ -297,7 +304,7 @@ def knn_join_copartitioned(queries, refs, bucket_fn, score_fn, k: int = 3,
                 frame["rank"] = rank
                 frames.append(frame)
         if not frames:
-            qs = df[df["_side"] == "q"].iloc[0:0]
+            qs = q_all.iloc[0:0]
             qcols = [c for c in (query_cols if query_cols is not None
                                  else qs.columns)
                      if not str(c).startswith("_")]
@@ -318,4 +325,12 @@ def knn_join_copartitioned(queries, refs, bucket_fn, score_fn, k: int = 3,
 
     from .shuffle import grouped_map
     return grouped_map(both, "_bucket", per_partition,
-                       num_partitions=num_partitions, group_fn=False)
+                       num_partitions=num_partitions, group_fn=False,
+                       nullable_ints=True)
+
+
+def _dense_ints(df: pd.DataFrame) -> pd.DataFrame:
+    """Nullable integer columns with no nulls back to numpy ints."""
+    return df.astype({c: t.numpy_dtype for c, t in df.dtypes.items()
+                      if isinstance(t, pd.api.extensions.ExtensionDtype)
+                      and t.kind in "iu" and not df[c].isna().any()})

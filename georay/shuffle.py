@@ -41,6 +41,16 @@ def _hash_mod_cols(cols: list, mod: int) -> np.ndarray:
     return (h % np.uint64(mod)).astype(np.int64)
 
 
+# Arrow integer type -> pandas nullable dtype: a column null on some rows
+# keeps its exact integer values instead of turning into float64
+_NULLABLE_INTS = {
+    pa.int8(): pd.Int8Dtype(), pa.int16(): pd.Int16Dtype(),
+    pa.int32(): pd.Int32Dtype(), pa.int64(): pd.Int64Dtype(),
+    pa.uint8(): pd.UInt8Dtype(), pa.uint16(): pd.UInt16Dtype(),
+    pa.uint32(): pd.UInt32Dtype(), pa.uint64(): pd.UInt64Dtype(),
+}
+
+
 def adaptive_partitions(min_parts: int = 16, per_cpu: int = 3) -> int:
     """Reduce-partition count scaled to the CLUSTER, not a constant:
     ~``per_cpu`` reduce tasks per CPU (pipelining headroom without
@@ -71,7 +81,8 @@ def grouped_map(ds: "ray.data.Dataset",
                 num_partitions: int | None = None,
                 group_fn: bool = True,
                 out_schema: pa.Schema | None = None,
-                schema_preserving: bool = False) -> "ray.data.Dataset":
+                schema_preserving: bool = False,
+                nullable_ints: bool = False) -> "ray.data.Dataset":
     """Apply ``fn`` per key-group, executed partition-wise.
 
     - ``group_fn=True`` (default): ``fn`` receives ONE group's rows
@@ -89,6 +100,11 @@ def grouped_map(ds: "ray.data.Dataset",
 
     ``num_partitions=None`` (default) resolves via
     ``adaptive_partitions()`` — scaled to cluster CPUs.
+
+    ``nullable_ints=True`` hands ``fn`` integer columns as pandas
+    nullable dtypes (``Int64`` …), so ids in a column that is null on
+    some rows (say, the other side's columns of a union) stay exact past
+    2**53 instead of turning into float64.
     """
     if num_partitions is None:
         num_partitions = adaptive_partitions()
@@ -105,7 +121,8 @@ def grouped_map(ds: "ray.data.Dataset",
     def per_partition(t: pa.Table) -> pa.Table:
         default_gc()  # leave cascade GC mode on reused workers
         in_schema = pa.schema([f for f in t.schema if f.name != "_part"])
-        df = t.drop_columns(["_part"]).to_pandas()
+        df = t.drop_columns(["_part"]).to_pandas(
+            types_mapper=_NULLABLE_INTS.get if nullable_ints else None)
         if not group_fn:
             res = fn(df)
         else:

@@ -48,14 +48,15 @@ class TileAnnotator:
         self.lon_col = lon_col
         self.pc_col = pc_col
         self.pip: PolygonIndex | None = None
-        self.pc_of_polygon: dict[str, str] = {}
         if spec is not None:
             b = get_gazetteer(spec).boundaries
             self.pip = PolygonIndex(
-                b["admin_id"].tolist(),
                 [(np.asarray(la), np.asarray(lo))
                  for la, lo in zip(b["ring_lat"], b["ring_lon"])])
-            self.pc_of_polygon = dict(zip(b["admin_id"], b["post_code"]))
+            # postcode per polygon row; row -1 (outside all) reads NaN,
+            # which equals no postcode
+            self.pc_of_row = np.array(b["post_code"].tolist() + [np.nan],
+                                      dtype=object)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         lat = batch[self.lat_col].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -74,12 +75,10 @@ class TileAnnotator:
         if self.pip is not None and self.pc_col is not None:
             pip_ok = np.zeros(len(lat), dtype=bool)
             if ok.any():
-                located = np.array(self.pip.locate(lat[ok], lon[ok]),
-                                   dtype=object)
                 # vectorized reverse-geocode check: the containing
                 # polygon's postcode must match the candidate's postcode
+                loc_pc = self.pc_of_row[self.pip.locate(lat[ok], lon[ok])]
                 pcs = batch[self.pc_col].to_numpy(zero_copy_only=False)[ok]
-                loc_pc = pd.Series(located).map(self.pc_of_polygon).to_numpy()
                 pip_ok[ok] = (loc_pc == pcs) | (pcs == "")
             out = out.append_column(T_PIP_OK, pa.array(pip_ok))
         return out

@@ -73,22 +73,122 @@ def test_point_in_polygon_square():
     assert got.tolist() == [True, False, False]
 
 
+def _pip_scalar(y, x, ring_lat, ring_lon):
+    """Even-odd ray cast for one point in plain Python floats (the same
+    IEEE doubles as numpy, so the bits must agree)."""
+    pts = [(float(a), float(b)) for a, b in zip(ring_lat, ring_lon)]
+    if pts[0] == pts[-1]:
+        pts = pts[:-1]
+    inside = False
+    for i in range(len(pts)):
+        (yi, xi), (yj, xj) = pts[i], pts[i - 1]
+        if (yi > y) != (yj > y) and x < (xj - xi) * (y - yi) / (yj - yi) + xi:
+            inside = not inside
+    return inside
+
+
+def _locate_ref(rings, lat, lon):
+    """Scalar rule of PolygonIndex.locate: per point, the first polygon in
+    build order whose bbox holds the point and whose ring contains it."""
+    out = []
+    for y, x in zip(lat.tolist(), lon.tolist()):
+        hit = -1
+        for pi, (rla, rlo) in enumerate(rings):
+            if (np.isfinite(y) and np.isfinite(x)
+                    and min(rla) <= y <= max(rla) and min(rlo) <= x <= max(rlo)
+                    and _pip_scalar(y, x, rla, rlo)):
+                hit = pi
+                break
+        out.append(hit)
+    return np.array(out, dtype=np.int64)
+
+
+def _square(la0, lo0, la1, lo1, closed=False):
+    lat = [la0, la0, la1, la1] + ([la0] if closed else [])
+    lon = [lo0, lo1, lo1, lo0] + ([lo0] if closed else [])
+    return np.array(lat), np.array(lon)
+
+
 @given(st.lists(st.tuples(st.floats(-2, 3, allow_nan=False),
                           st.floats(-2, 3, allow_nan=False)),
                 min_size=1, max_size=30))
 @settings(max_examples=50, deadline=None)
 def test_polygon_index_matches_bruteforce(pts):
-    # two disjoint squares
-    rings = [(np.array([0.0, 0.0, 1.0, 1.0]), np.array([0.0, 1.0, 1.0, 0.0])),
-             (np.array([2.0, 2.0, 2.5, 2.5]), np.array([2.0, 2.5, 2.5, 2.0]))]
-    idx = PolygonIndex(["a", "b"], rings)
     lat = np.array([p[0] for p in pts])
     lon = np.array([p[1] for p in pts])
-    got = idx.locate(lat, lon)
-    for i in range(len(pts)):
-        hits = [pid for pid, (rla, rlo) in zip(["a", "b"], rings)
-                if point_in_polygon(lat[i:i+1], lon[i:i+1], rla, rlo)[0]]
-        assert got[i] == (hits[0] if hits else None)
+    for rings in (
+            # two disjoint squares
+            [_square(0.0, 0.0, 1.0, 1.0), _square(2.0, 2.0, 2.5, 2.5)],
+            # overlapping rectangles: the first in build order wins
+            [_square(0.0, 0.0, 2.0, 1.0), _square(0.5, 0.5, 1.5, 2.5),
+             _square(-1.0, -1.0, 1.0, 3.0)]):
+        ids = ["a", "b", "c"][:len(rings)]
+        got = np.array(ids + [None], dtype=object)[
+            PolygonIndex(rings).locate(lat, lon)]
+        for i in range(len(pts)):
+            hits = [pid for pid, (rla, rlo) in zip(ids, rings)
+                    if point_in_polygon(lat[i:i+1], lon[i:i+1], rla, rlo)[0]]
+            assert got[i] == (hits[0] if hits else None)
+
+
+def test_polygon_index_matches_scalar_rule(monkeypatch):
+    """Vectorized locate equals the per-polygon scalar loop on the hard
+    cases: vertices, edges, a border shared by two rings, overlapping
+    bboxes and rings, open and closed rings, points off the grid, and
+    crossing passes split into many small ones."""
+    from georay import geom
+    tri_a = (np.array([0.0, 0.0, 2.0]), np.array([0.0, 2.0, 0.0]))
+    tri_b = (np.array([2.0, 2.0, 0.0, 2.0]), np.array([0.0, 2.0, 2.0, 0.0]))
+    hexa = (0.5 + 0.4 * np.sin(np.linspace(0, 2 * np.pi, 7)),
+            1.5 + 0.4 * np.cos(np.linspace(0, 2 * np.pi, 7)))
+    # inner rings first, so every ring is the lowest containing one
+    # somewhere and the overlaps exercise the tie-break
+    rings = [
+        _square(0.6, 0.6, 0.9, 0.9, closed=True),  # overlaps 2, 3 and 5
+        hexa,                                      # closed, in 4, overlaps 2
+        _square(0.25, 0.25, 0.75, 1.75),           # overlaps rings 3 and 4
+        _square(0.0, 0.0, 1.0, 1.0),              # open
+        _square(0.0, 1.0, 1.0, 2.0, closed=True),  # shares lon=1 with 3
+        tri_a, tri_b,              # same bbox, share the diagonal border
+    ]
+    verts = np.concatenate([r[0] for r in rings]), np.concatenate(
+        [r[1] for r in rings])
+    edge_mid = np.array([[0.0, 0.5], [0.5, 1.0], [1.0, 1.5], [0.25, 1.0],
+                         [1.0, 1.0], [0.5, 0.0], [1.0, 0.5], [0.75, 0.5]])
+    off_grid = np.array([[-5.0, 0.5], [0.5, -5.0], [5.0, 5.0], [-5.0, -5.0],
+                         [0.5, 10.0], [1e6, 0.5]])
+    rng = np.random.default_rng(14)
+    lat = np.r_[verts[0], edge_mid[:, 0], off_grid[:, 0],
+                rng.uniform(-0.5, 2.5, 3000)]
+    lon = np.r_[verts[1], edge_mid[:, 1], off_grid[:, 1],
+                rng.uniform(-0.5, 2.5, 3000)]
+    for grid, pass_edges in ((1, 7), (4, geom._PASS_EDGES), (64, 1)):
+        monkeypatch.setattr(geom, "_PASS_EDGES", pass_edges)
+        idx = PolygonIndex(rings, grid=grid)
+        got = idx.locate(lat, lon)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _locate_ref(rings, lat, lon))
+        assert set(got.tolist()) == set(range(-1, len(rings)))
+        assert idx.locate(np.array([]), np.array([])).tolist() == []
+        # the per-ring kernel agrees with the scalar cast point for point
+        for rla, rlo in rings:
+            assert point_in_polygon(lat, lon, rla, rlo).tolist() == [
+                _pip_scalar(y, x, rla, rlo)
+                for y, x in zip(lat.tolist(), lon.tolist())]
+
+
+def test_polygon_index_non_finite_points():
+    """NaN and ±inf in either coordinate locate to -1 (None), with no
+    cast warning, and leave the finite points' answers alone."""
+    import warnings
+    idx = PolygonIndex([_square(0.0, 0.0, 1.0, 1.0)])
+    bad = [np.nan, np.inf, -np.inf]
+    lat = np.array([0.5] + bad + [0.5] * 3 + [np.nan, 2.0])
+    lon = np.array([0.5] + [0.5] * 3 + bad + [np.inf, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = idx.locate(lat, lon)
+    assert got.tolist() == [0] + [-1] * 8
 
 
 def test_geohash_canonical_vectors():

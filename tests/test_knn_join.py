@@ -94,3 +94,24 @@ def test_knn_join_copartitioned(ray_session):
     g0 = out[out["qid"] == 0].sort_values("rank")
     # query x=0 bucket 0; refs in bucket 0 have x in {0.25, 3.25, 6.25}
     assert g0.iloc[0]["neighbor_id"] == 100   # nearest: x=0.25
+
+
+def test_knn_join_copartitioned_keeps_int64_ids(ray_session):
+    """Integer ids stay int64 end to end: the union of the two sides
+    must not turn them into float64 (2**53 + 1 would read 2**53)."""
+    big = 2 ** 53 + 1
+    queries = ray.data.from_items([{"qid": big, "b": 0}])
+    refs = ray.data.from_items([{"rid": big + 2, "b": 0},
+                                {"rid": 7, "b": 0}])
+
+    def score_fn(q_df, ref_df):
+        return (np.ones((len(q_df), len(ref_df))),
+                ref_df["rid"].to_numpy())
+
+    out = knn_join_copartitioned(queries, refs, lambda df: df["b"],
+                                 score_fn, k=2, query_cols=["qid"],
+                                 num_partitions=2).to_pandas()
+    assert out["qid"].dtype == np.int64
+    assert out["neighbor_id"].dtype == np.int64
+    assert out["qid"].tolist() == [big, big]
+    assert out.sort_values("rank")["neighbor_id"].tolist() == [7, big + 2]
