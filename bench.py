@@ -239,7 +239,11 @@ def run_bench() -> dict:
         # read->cascade operator inherits that task count — at 32 CPUs
         # the pool starves (~10 busy cores measured).  Force enough
         # blocks to keep every worker fed; per-doc batch_size inside
-        # map_batches is unchanged.
+        # map_batches is unchanged.  The read and the cascade fuse only
+        # while this asks for no more blocks than there are files (the
+        # default sf0.1 corpus, 240 files); a smaller corpus is split
+        # (SplitBlocks) and runs as two operators, its small blocks
+        # bundled back into batch_size calls (pipeline.capped_map).
         docs = ray.data.read_parquet(
             corpus_dir, override_num_blocks=max(64, num_cpus * 6))
         # memo_on=False (the --scaling harness) disables BOTH the result

@@ -3040,7 +3040,10 @@ def q_rel_asof_join(sf_dir: str):
         ev_df = (df.loc[df["_side"] == 0, ["user_id", "ts", "k"]]
                  .rename(columns={"k": "event_id"})
                  .sort_values("ts", kind="mergesort"))
+        # nullable Int64: an unmatched event is <NA>, not a float NaN
+        # that would round order keys past 2**53
         od_df = (df.loc[df["_side"] == 1, ["user_id", "ts", "k"]]
+                 .astype({"k": "Int64"})
                  .rename(columns={"k": "o_orderkey"})
                  .sort_values(["ts", "o_orderkey"], kind="mergesort"))
         if ev_df.empty or od_df.empty:
@@ -3051,8 +3054,7 @@ def q_rel_asof_join(sf_dir: str):
         m = m[m["o_orderkey"].notna()]
         return pa.table({
             "event_id": pa.array(m["event_id"].to_numpy(np.int64)),
-            "asof_orderkey": pa.array(
-                m["o_orderkey"].to_numpy(np.float64).astype(np.int64))})
+            "asof_orderkey": pa.array(m["o_orderkey"].to_numpy(np.int64))})
 
     return grouped_map(ev.union(od), "user_id", per_partition,
                        group_fn=False)

@@ -249,7 +249,11 @@ def knn_join_copartitioned(queries, refs, bucket_fn, score_fn, k: int = 3,
     One hash shuffle on the bucket key (partitioned ``grouped_map``, many
     buckets per task — not per-group materialization); top-k selection is
     ``ops.similarity._topk_rows``: (score desc, neighbor id asc), ties at
-    the k-th place included.
+    the k-th place included.  Output rows carry ``query_cols`` (every
+    query-side column when None) plus ``neighbor_id``, ``score`` and
+    ``rank``; the reference side's columns never reach the output, nor
+    do query columns whose names start with "_" (``score_fn`` still
+    sees them).
 
     ``neighbor_id_dtype``: dtype of the ids ``score_fn`` returns (numpy
     dtype, or ``"string"`` for object ids).  Empty partitions emit a
@@ -260,11 +264,17 @@ def knn_join_copartitioned(queries, refs, bucket_fn, score_fn, k: int = 3,
     so ids past 2**53 stay exact."""
     import ray.data  # noqa: F401
 
+    # Each side's tag records its own columns: the references' go under
+    # the _REF prefix, so a query column is any union column outside it
+    # (bar the tags), even where it is null on every row of a partition.
     def tag(side):
         def fn(batch: pa.Table) -> pa.Table:
             df = batch.to_pandas()
+            bucket = bucket_fn(df)
+            if side == "r":
+                df.columns = [_REF + c for c in df.columns]
             df["_side"] = side
-            df["_bucket"] = bucket_fn(df)
+            df["_bucket"] = bucket
             return pa.Table.from_pandas(df, preserve_index=False)
         return fn
 
@@ -276,8 +286,15 @@ def knn_join_copartitioned(queries, refs, bucket_fn, score_fn, k: int = 3,
         from .ops.similarity import _topk_rows
         # split the union once; each side's own integer columns have no
         # nulls, so they go back to exact numpy ints
-        q_all = _dense_ints(df[df["_side"] == "q"])
-        r_all = _dense_ints(df[df["_side"] == "r"])
+        refc = [c for c in df.columns if c.startswith(_REF)]
+        own = [c for c in df.columns
+               if c not in refc and c not in ("_side", "_bucket")]
+        is_q = df["_side"] == "q"
+        q_all = _dense_ints(df.loc[is_q, own + ["_bucket"]])
+        r_all = _dense_ints(df.loc[~is_q, refc + ["_bucket"]]).rename(
+            columns={c: c[len(_REF):] for c in refc})
+        qcols = [c for c in (query_cols if query_cols is not None else own)
+                 if not str(c).startswith("_")]
         q_of = dict(list(q_all.groupby("_bucket", sort=False)))
         r_of = dict(list(r_all.groupby("_bucket", sort=False)))
         frames = []
@@ -285,9 +302,6 @@ def knn_join_copartitioned(queries, refs, bucket_fn, score_fn, k: int = 3,
             qs, rs = q_of.get(b), r_of.get(b)
             if qs is None or rs is None:
                 continue
-            qcols = [c for c in (query_cols if query_cols is not None
-                                 else qs.columns)
-                     if not str(c).startswith("_")]
             # chunk the query side so the (q_chunk × ref) score matrix
             # stays ~32 MB even in a skewed mega-bucket — full-bucket
             # matrices go quadratic in memory exactly when skew hits
@@ -304,11 +318,7 @@ def knn_join_copartitioned(queries, refs, bucket_fn, score_fn, k: int = 3,
                 frame["rank"] = rank
                 frames.append(frame)
         if not frames:
-            qs = q_all.iloc[0:0]
-            qcols = [c for c in (query_cols if query_cols is not None
-                                 else qs.columns)
-                     if not str(c).startswith("_")]
-            e = qs[qcols].copy()
+            e = q_all.iloc[0:0][qcols].copy()
             # empty object columns would infer as Arrow null and break
             # the stream schema — pin them to string explicitly
             for c in qcols:
@@ -327,6 +337,9 @@ def knn_join_copartitioned(queries, refs, bucket_fn, score_fn, k: int = 3,
     return grouped_map(both, "_bucket", per_partition,
                        num_partitions=num_partitions, group_fn=False,
                        nullable_ints=True)
+
+
+_REF = "_ref."     # prefix of the reference side's columns in the union
 
 
 def _dense_ints(df: pd.DataFrame) -> pd.DataFrame:

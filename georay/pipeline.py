@@ -4,7 +4,8 @@ Flagship flow (the reference's ``/batchGeocode`` re-expressed Ray-Data-
 first, §3.1):
 
     read_parquet(documents)                        # prune at the read
-      -> map_batches(whole)                        # ONE stateless task fn:
+      -> capped_map(whole)                         # fused INTO the read task
+                                                   # (unless Ray splits it):
            explode_spans                           #   Arrow explode
            -> SpanCascadeGeocoder                  #   whole cascade
            -> SpanAnnotator                        #   cells + PIP + kNN
@@ -17,6 +18,8 @@ All builders take an existing Dataset or a path — they never call
 """
 
 from __future__ import annotations
+
+import functools
 
 import ray.data
 
@@ -72,6 +75,66 @@ def annotator_fn(spec=None, hex_res: int = 9, quad_level: int = 18,
     return fn
 
 
+def capped_pieces(n: int, cap: int) -> list[tuple[int, int]]:
+    """``[start, stop)`` bounds of the ceil(n / cap) balanced pieces that
+    cover ``[0, n)`` in order: each holds at most ``cap`` rows, and their
+    sizes differ by at most one."""
+    k = -(-n // cap)
+    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
+def read_splits_blocks(ds: "ray.data.Dataset") -> bool:
+    """Whether Ray will split the blocks of the read that ``ds`` maps
+    over (``ReadParquet->SplitBlocks(n)`` in ``ds.stats()``): it does so
+    when a read plans more tasks than it has files, e.g. a one-file read
+    on a cluster of 8 CPUs.  Ray never fuses a map into such a read.
+    Reads the plan with Ray's own rule (``SetReadParallelismRule``), as
+    the executor will apply it on this cluster."""
+    from ray.data._internal.logical.operators.map_operator import AbstractMap
+    from ray.data._internal.logical.operators.read_operator import Read
+    from ray.data._internal.logical.rules.set_read_parallelism import (
+        compute_additional_split_factor)
+
+    op = ds._logical_plan.dag
+    while (isinstance(op, AbstractMap) and not isinstance(op, Read)
+           and len(op.input_dependencies) == 1):
+        op = op.input_dependencies[0]
+    if not isinstance(op, Read):
+        return False
+    *_, k = compute_additional_split_factor(
+        op._datasource_or_legacy_reader, op._parallelism, op._mem_size,
+        ds.context.target_max_block_size)
+    return bool(k and k > 1)
+
+
+def capped_map(ds: "ray.data.Dataset", fn, batch_size: int
+               ) -> "ray.data.Dataset":
+    """``map_batches(fn)`` over whole blocks, with at most ``batch_size``
+    rows per ``fn`` call.
+
+    ``batch_size=None`` lets Ray fuse the map into the read task (Ray
+    2.49 will not fuse a map that asks for a row count behind a read, so
+    every block would take an extra object-store hop between two tasks).
+    The generator keeps the per-call cap by yielding ``fn`` of each
+    ``capped_pieces`` slice of the block.  Blocks smaller than the cap
+    are passed whole, not joined with other blocks.
+
+    A read that Ray splits (``read_splits_blocks``) cannot be fused, and
+    its blocks are small by design (n / split factor rows), so there the
+    map keeps Ray's ``batch_size`` bundling, which joins them back into
+    calls of about ``batch_size`` rows."""
+    if read_splits_blocks(ds):
+        return ds.map_batches(fn, batch_format="pyarrow",
+                              batch_size=batch_size)
+
+    @functools.wraps(fn)
+    def capped(block):
+        for start, stop in capped_pieces(block.num_rows, batch_size):
+            yield fn(block.slice(start, stop - start))
+
+    return ds.map_batches(capped, batch_format="pyarrow", batch_size=None)
+
+
 def geocode_documents(docs: "ray.data.Dataset",
                       spec: GazetteerSpec | None = None,
                       cfg: PipelineConfig | None = None,
@@ -81,17 +144,25 @@ def geocode_documents(docs: "ray.data.Dataset",
     """documents -> span-level geocode results (one row per span ×
     match/reject, not_address spans passed through).
 
-    ``batch_size`` counts DOCUMENT rows: the cascade has a few hundred
-    ms of fixed per-batch cost (10 steps of frame machinery), so batches
-    must hold >=~1500 addresses to amortize it — 1024 docs ≈ 7000 spans
-    ≈ 2000 addresses.
+    Execution: ONE fused read + map task per read block (see
+    ``capped_map``; a read that Ray splits is the exception): the read
+    and the batch fn (explode -> cascade -> annotate) run in the same Ray
+    task, with the components built once per worker process — elastic
+    scheduling, no pool sizing.  Even "fused" Ray Data operators pay
+    per-op rebatching (slice/concat of the 33-column Arrow batch at every
+    boundary), measured at ~60% of total CPU for this chain; one fn
+    doubles throughput.
 
-    Execution: ONE stateless ``map_batches`` task fn per batch (explode
-    -> cascade -> annotate) with the components built once per worker
-    process — elastic scheduling, no pool sizing.  Even "fused" Ray Data
-    operators pay per-op rebatching (slice/concat of the 33-column Arrow
-    batch at every boundary), measured at ~60% of total CPU for this
-    chain; one fn doubles throughput."""
+    ``batch_size`` caps the DOCUMENT rows per cascade call: a read block
+    of n docs is cut into ceil(n / batch_size) balanced pieces.  Blocks
+    are not coalesced, so a block smaller than the cap is one smaller
+    call.  The cascade has a fixed per-call cost (10 steps of frame
+    machinery), so small blocks pay it more often: ``read_parquet`` reads
+    one block per file, so three 1,000-doc shards make three calls of
+    1,000 docs (~2,000 addresses each) under the default cap.  A read
+    that Ray splits (more read tasks than files, e.g. one file on 8
+    CPUs) cannot be fused; there Ray bundles its small blocks into calls
+    of ``batch_size`` docs, as an unfused map always did."""
     spec = spec or GazetteerSpec()
     cfg = cfg or PipelineConfig()
     casc = span_cascade_fn(spec, cfg)
@@ -103,8 +174,7 @@ def geocode_documents(docs: "ray.data.Dataset",
         out = casc(explode_spans(batch))
         return ann(out) if ann is not None else out
 
-    return docs.map_batches(whole, batch_format="pyarrow",
-                            batch_size=batch_size)
+    return capped_map(docs, whole, batch_size)
 
 
 def geocode_addresses(addrs: "ray.data.Dataset",
@@ -113,8 +183,10 @@ def geocode_addresses(addrs: "ray.data.Dataset",
                       batch_size: int = 1024,
                       with_tiles: bool = True) -> "ray.data.Dataset":
     """Flat address batch -> cascade results (the /batchGeocode parity
-    path, nominatimwrapper.py:709-855), with the same one-fn stateless
-    plan as ``geocode_documents``."""
+    path, nominatimwrapper.py:709-855), with the same fused read + map
+    plan as ``geocode_documents``: ``batch_size`` caps the ADDRESS rows
+    per cascade call, and blocks smaller than the cap are not coalesced
+    unless Ray splits the read."""
     spec = spec or GazetteerSpec()
     cfg = cfg or PipelineConfig()
     casc = address_cascade_fn(spec, cfg)
@@ -125,8 +197,7 @@ def geocode_addresses(addrs: "ray.data.Dataset",
         out = casc(batch)
         return ann(out) if ann is not None else out
 
-    return addrs.map_batches(whole, batch_format="pyarrow",
-                             batch_size=batch_size)
+    return capped_map(addrs, whole, batch_size)
 
 
 def step_stats(results: "ray.data.Dataset",

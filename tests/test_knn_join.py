@@ -115,3 +115,30 @@ def test_knn_join_copartitioned_keeps_int64_ids(ray_session):
     assert out["neighbor_id"].dtype == np.int64
     assert out["qid"].tolist() == [big, big]
     assert out.sort_values("rank")["neighbor_id"].tolist() == [7, big + 2]
+
+
+def test_knn_join_copartitioned_keeps_only_query_columns(ray_session):
+    """With ``query_cols=None`` the output carries the query side's
+    columns, never the reference side's own ones (always null there);
+    a query column named "_w" reaches ``score_fn`` but not the output."""
+    queries = ray.data.from_items(
+        [{"qid": i, "x": float(i), "b": i % 2, "_w": 1.0} for i in range(6)])
+    refs = ray.data.from_items(
+        [{"rid": 100 + j, "x": j + 0.5, "b": j % 2} for j in range(6)])
+
+    def score_fn(q_df, ref_df):
+        assert "_w" in q_df.columns and "rid" not in q_df.columns
+        diff = np.abs(q_df["x"].to_numpy()[:, None]
+                      - ref_df["x"].to_numpy()[None, :])
+        return -diff, ref_df["rid"].to_numpy()
+
+    out = knn_join_copartitioned(queries, refs, lambda df: df["b"],
+                                 score_fn, k=1,
+                                 num_partitions=4).to_pandas()
+    assert sorted(out.columns) == sorted(["qid", "x", "b", "neighbor_id",
+                                          "score", "rank"])
+    out = out.sort_values("qid").reset_index(drop=True)
+    assert out["x"].tolist() == [float(i) for i in range(6)]
+    # within its bucket (parity of i), query x = i is nearest to the
+    # reference x = i + 0.5, rid 100 + i
+    assert out["neighbor_id"].tolist() == [100 + i for i in range(6)]

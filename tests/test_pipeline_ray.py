@@ -2,8 +2,11 @@
 reassemble, the span-sequence invariant, rollups, and checkpoint resume
 (FIXTURES.md §6 golden-run behaviors)."""
 
+import re
+
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
@@ -11,10 +14,11 @@ import ray.data
 
 from georay.checkpoint import Manifest, run_resumable, status_counters
 from georay.config import PipelineConfig
-from georay.corpus import make_documents
+from georay.corpus import make_addresses, make_documents
 from georay.gazetteer import GazetteerSpec
-from georay.pipeline import (geocode_addresses, geocode_documents,
-                             reassemble_documents, synth_documents_dataset)
+from georay.pipeline import (capped_map, capped_pieces, geocode_addresses,
+                             geocode_documents, reassemble_documents,
+                             synth_documents_dataset)
 from georay.tiles import rollup_counts, rollup_counts_salted
 
 SPEC = GazetteerSpec()
@@ -80,7 +84,6 @@ def test_geocode_addresses_parity_with_batchlocal(ray_session):
     """The Ray path and a direct single-process cascade agree row-for-row
     (the notebook's cross-mode consistency assertion, SURVEY.md §5)."""
     from georay.cascade import process_addresses_df
-    from georay.corpus import make_addresses
     from georay.gazetteer import get_gazetteer
     from georay.parser import AddressParser
 
@@ -98,6 +101,110 @@ def test_geocode_addresses_parity_with_batchlocal(ray_session):
         pd.testing.assert_series_equal(
             km[col].sort_index(), lm[col].sort_index(), check_dtype=False,
             check_names=False)
+
+
+def _first_operator(ds) -> str:
+    """The name of the first operator in ``ds.stats()`` after it ran."""
+    return re.search(r"Operator \d+ ([^:]+):", ds.stats()).group(1)
+
+
+def test_geocode_plans_fuse_read_and_map(ray_session, tmp_path):
+    """The read and the geocode batch fn run as ONE operator, so no block
+    goes through the object store between a read task and a map task."""
+    import pyarrow.parquet as pq
+
+    docs, _ = make_documents(30, spec=SPEC, seed=11)
+    addrs = make_addresses(30, spec=SPEC, seed=11).drop(
+        columns=["truth_class", "truth_street_place_id"])
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "addrs").mkdir()
+    for i in range(2):
+        pq.write_table(docs.slice(15 * i, 15),
+                       tmp_path / "docs" / f"part{i}.parquet")
+        pq.write_table(pa.Table.from_pandas(
+            addrs.iloc[15 * i:15 * (i + 1)], preserve_index=False),
+            tmp_path / "addrs" / f"part{i}.parquet")
+    # One read task per file: Ray never fuses a map into a read that it
+    # asked to split its blocks (more CPUs than files, "SplitBlocks(n)").
+    def read(name):
+        return ray.data.read_parquet(str(tmp_path / name),
+                                     override_num_blocks=2)
+
+    out = geocode_documents(read("docs"), spec=SPEC,
+                            batch_size=8).materialize()
+    assert out.count() > 0
+    assert _first_operator(out).startswith("ReadParquet->MapBatches(")
+    out = geocode_addresses(read("addrs"), spec=SPEC,
+                            batch_size=8).materialize()
+    assert out.count() > 0
+    assert _first_operator(out).startswith("ReadParquet->MapBatches(")
+
+
+def test_capped_map_keeps_bundling_for_split_reads(ray_session, tmp_path):
+    """An unsplit read runs fused, each block cut into balanced capped
+    calls; a read that Ray splits cannot be fused, so its small blocks
+    are bundled back into calls of ``batch_size`` rows."""
+    import pyarrow.parquet as pq
+
+    for i in range(2):
+        pq.write_table(pa.table({"x": list(range(40 * i, 40 * i + 40))}),
+                       tmp_path / f"part{i}.parquet")
+
+    def call_sizes(blocks):
+        ds = ray.data.read_parquet(str(tmp_path), override_num_blocks=blocks)
+        out = capped_map(ds, lambda b: pa.table({"n": [b.num_rows]}),
+                         32).materialize()
+        return _first_operator(out), sorted(out.to_pandas()["n"])
+
+    assert call_sizes(2) == ("ReadParquet->MapBatches(<lambda>)", [20] * 4)
+    op, sizes = call_sizes(8)
+    assert op == "ReadParquet->SplitBlocks(4)"
+    assert sum(sizes) == 80 and max(sizes) == 32
+
+
+@pytest.mark.parametrize("cap", [1, 7, 1024])
+def test_capped_pieces_rule(cap):
+    for n in (0, 1, cap - 1, cap, cap + 1, 5 * cap + 3):
+        pieces = capped_pieces(n, cap)
+        sizes = [stop - start for start, stop in pieces]
+        assert len(pieces) == -(-n // cap)
+        assert all(0 < s <= cap for s in sizes)
+        assert not sizes or max(sizes) - min(sizes) <= 1
+        bounds = [0] + [stop for _, stop in pieces]
+        assert [start for start, _ in pieces] == bounds[:-1]
+        assert bounds[-1] == n
+
+
+def test_geocode_documents_cap_does_not_change_rows(ray_session):
+    """One 40-doc block cut into 16-doc calls gives the rows of one call."""
+    docs, _ = make_documents(40, spec=SPEC, seed=5)
+    outs = [geocode_documents(ray.data.from_arrow(docs), spec=SPEC,
+                              batch_size=bs).to_pandas()
+            for bs in (16, 10_000)]
+    cols = ["doc_id", "span_idx", "addr_key", "status", "m_method",
+            "m_place_id", "o_lat", "o_lon", "hex_cell", "pip_ok"]
+    a, b = (o[cols].sort_values(cols, kind="mergesort")
+            .reset_index(drop=True) for o in outs)
+    pd.testing.assert_frame_equal(a, b)
+
+
+def test_geocode_zero_rows(ray_session):
+    """An input filtered to zero rows gives zero rows and no schema, as
+    the unfused plan did."""
+    docs, _ = make_documents(20, spec=SPEC, seed=5)
+    none = ray.data.from_arrow(docs).map_batches(
+        lambda b: b.filter(pc.equal(b["doc_id"], "no-such-doc")),
+        batch_format="pyarrow")
+    out = geocode_documents(none, spec=SPEC, batch_size=16).materialize()
+    assert out.count() == 0
+    assert out.schema() is None
+    addrs = make_addresses(20, spec=SPEC, seed=3).drop(
+        columns=["truth_class", "truth_street_place_id"])
+    none = ray.data.from_pandas(addrs).filter(lambda r: False)
+    out = geocode_addresses(none, spec=SPEC, batch_size=16,
+                            with_tiles=False).materialize()
+    assert out.count() == 0
+    assert out.schema() is None
 
 
 def test_checkpoint_resume(ray_session, tmp_path):

@@ -147,3 +147,32 @@ def test_pair_key_round_trips_and_rejects_wide_ids():
             _pair_key(np.array([bad]), np.array([0]))
         with pytest.raises(ValueError):
             _pair_key(np.array([0]), np.array([bad]))
+
+
+def test_asof_join_keeps_order_keys_past_2_53(ray_session, tmp_path):
+    """Order keys past 2**53 come back exact, also when some events have
+    no order before them (the unmatched rows must not make them float)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from georay.entrylib import q_rel_asof_join
+    big = 2 ** 53 + 1
+    day = pd.Timestamp("2020-01-01")
+    ts = [day + pd.Timedelta(days=d) for d in (1, 10, 10, 3)]
+    pq.write_table(pa.table({
+        "event_id": pa.array([1, 2, 3, 4], pa.int64()),
+        "ts": pa.array(ts, pa.timestamp("us")),
+        "user_id": pa.array([1, 1, 2, 3], pa.int64())}),
+        tmp_path / "events.parquet")
+    od = [day + pd.Timedelta(days=d) for d in (5, 5, 2, 4)]
+    pq.write_table(pa.table({
+        "o_orderkey": pa.array([big, big - 2, big + 2, 7], pa.int64()),
+        "o_custkey": pa.array([1, 1, 2, 3], pa.int64()),
+        "o_orderdate": pa.array(od, pa.timestamp("us"))}),
+        tmp_path / "orders.parquet")
+    out = q_rel_asof_join(str(tmp_path)).to_pandas()
+    got = dict(zip(out["event_id"].tolist(), out["asof_orderkey"].tolist()))
+    # event 1 precedes every order of user 1; event 4 precedes user 3's;
+    # event 2 takes the larger key of the two orders on the same day
+    assert got == {2: big, 3: big + 2}
+    assert out["asof_orderkey"].dtype == "int64"
