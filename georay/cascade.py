@@ -589,7 +589,8 @@ def _memo_keys(inputs: pa.Table) -> list[str]:
     parts = []
     for c in INPUT_FIELDS:
         parts += [pc.binary_length(inputs[c]).cast(pa.string()), inputs[c]]
-    return pc.binary_join_element_wise(*parts, ":").to_pylist()
+    return pc.binary_join_element_wise(*parts, ":").to_numpy(
+        zero_copy_only=False).tolist()
 
 
 def _field_arrays(tbl: pa.Table) -> dict[str, np.ndarray]:

@@ -44,7 +44,14 @@ class KnnRescuer:
     is net-new (not reference semantics — the reference comparator
     kernels in compare.py are untouched).  ``prefilter`` is a PERF knob,
     not semantics: with ``prefilter >= bucket size`` the top-k is exact
-    over the bucket, which is the mode the content oracle checks."""
+    over the bucket, which is the mode the content oracle checks.
+
+    Output: three list columns ``knn_place_ids`` (list<int64>),
+    ``knn_streets`` (list<string>) and ``knn_scores`` (list<double>),
+    built as offset list columns: one int32 length per row plus flat
+    values for the unmatched rows only, so matched rows make no Python
+    object.  A row without suggestions holds an empty list, never a
+    null."""
 
     def __init__(self, spec: GazetteerSpec | None = None, k: int = 3,
                  prefilter: int = 100):
@@ -176,15 +183,17 @@ class KnnRescuer:
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pac
         n = len(batch)
-        sugg_ids: list[list[int]] = [[] for _ in range(n)]
-        sugg_names: list[list[str]] = [[] for _ in range(n)]
-        sugg_scores: list[list[float]] = [[] for _ in range(n)]
+        lens = np.zeros(n, dtype=np.int32)
+        ids: list[int] = []
+        names: list[str] = []
+        scores: list[float] = []
         mask = pac.and_(pac.equal(batch[STATUS], "unmatched"),
                         pac.not_equal(batch[STREET], ""))
         todo = np.flatnonzero(mask.to_numpy(zero_copy_only=False))
         if len(todo):
-            streets = batch[STREET].take(pa.array(todo)).to_pylist()
-            pcs = batch[POSTCODE].take(pa.array(todo)).to_pylist()
+            idx = pa.array(todo)
+            streets = batch[STREET].take(idx).to_numpy(zero_copy_only=False)
+            pcs = batch[POSTCODE].take(idx).to_numpy(zero_copy_only=False)
             keys = [(st, str(pc)[:2]) for st, pc in zip(streets, pcs)]
             fresh = [kk for kk in dict.fromkeys(keys)
                      if kk not in self._memo]
@@ -192,17 +201,23 @@ class KnnRescuer:
                 for kk, res in zip(fresh, self._score_batch(fresh)):
                     if len(self._memo) < (1 << 16):
                         self._memo[kk] = res
+            # todo is ascending, so the flat values come out in row order
             for kk, loc in zip(keys, todo):
                 hit = self._memo.get(kk)
                 if hit is None:   # memo full — score the stragglers solo
                     hit = self._score_batch([kk])[0]
-                sugg_ids[loc], sugg_names[loc], sugg_scores[loc] = hit
-        out = batch.append_column("knn_place_ids",
-                                  pa.array(sugg_ids, pa.list_(pa.int64())))
-        out = out.append_column("knn_streets",
-                                pa.array(sugg_names, pa.list_(pa.string())))
-        return out.append_column("knn_scores",
-                                 pa.array(sugg_scores, pa.list_(pa.float64())))
+                lens[loc] = len(hit[0])
+                ids += hit[0]
+                names += hit[1]
+                scores += hit[2]
+        offsets = pa.array(np.r_[0, np.cumsum(lens)], pa.int32())
+
+        def col(values, typ):
+            return pa.ListArray.from_arrays(offsets, pa.array(values, typ))
+
+        out = batch.append_column("knn_place_ids", col(ids, pa.int64()))
+        out = out.append_column("knn_streets", col(names, pa.string()))
+        return out.append_column("knn_scores", col(scores, pa.float64()))
 
 
 def knn_points_broadcast(query_df: pd.DataFrame, ref_lat: np.ndarray,

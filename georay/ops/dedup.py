@@ -292,8 +292,9 @@ class MinHasher:
             i = j
         return sig
 
-    def signatures_batch(self, texts: list) -> np.ndarray:
-        """(n_docs, k) uint64 signatures for a whole batch: shingle
+    def signatures_batch(self, texts) -> np.ndarray:
+        """(n_docs, k) uint64 signatures for a whole batch (``texts``: a
+        list or an object array of ``str``, None read as ""): shingle
         ranges -> one vectorized md5 pass -> reduceat mins."""
         from .md5vec import md5_u64_le_ranges
         buf, st, ln, counts = _shingle_ranges(texts, self.shingle_n)
@@ -301,7 +302,8 @@ class MinHasher:
             md5_u64_le_ranges(buf, st, ln), counts)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        sigs = self.signatures_batch(batch["text"].to_pylist())
+        sigs = self.signatures_batch(
+            batch["text"].to_numpy(zero_copy_only=False))
         arr = pa.array([s.astype("int64").tolist() for s in sigs],
                        pa.list_(pa.int64()))
         return batch.append_column("minhash", arr)
@@ -355,7 +357,8 @@ def minhash_lsh_pairs(ds: "ray.data.Dataset", bands: int = 16, k: int = 64,
         through the shuffle and the pandas boundary than list<int64>."""
         default_gc()
         hasher = get_minhasher(k=k, shingle_n=shingle_n)
-        sig = hasher.signatures_batch(batch[text_col].to_pylist())
+        sig = hasher.signatures_batch(
+            batch[text_col].to_numpy(zero_copy_only=False))
         ids_np = batch[id_col].to_numpy(zero_copy_only=False)
         sig_bytes = [s.tobytes() for s in sig]
         return pa.table({id_col: pa.array(np.tile(ids_np, bands)),

@@ -8,10 +8,15 @@ Input table shape (BASELINE.json input_hint):
   ``list_parent_indices``) emitting one row per span with its ordinal
   and its ``{doc_id}_s{ordinal}`` addr_key (``binary_join_element_wise``).
   Address detection is an Arrow pre-filter over the whole batch (kind is
-  "text", contains ",", matches ``_ADDR_HINT`` under RE2); only the rows
-  that pass re-check the exact Python ``_ADDR_HINT`` — whose ``\b`` is
-  Unicode-aware, unlike RE2's ASCII one — and run ``parse_free_text``,
-  so the pre-filter may over-select but never changes the output.
+  "text" and the text holds a ","; then, on those rows only,
+  ``_ADDR_HINT`` under RE2).  It never drops a row the exact Python
+  ``_ADDR_HINT`` keeps, and on ASCII text, where RE2's ASCII ``\b`` and
+  Python's Unicode-aware one agree, it is exact; so only the non-ASCII
+  candidates re-check the Python pattern (``explode_spans`` spells out
+  the argument).  The kept texts are dictionary-encoded and
+  ``parse_free_text`` runs once per distinct text in the batch; each
+  parsed column is built over the dictionary and gathered to the rows
+  with one ``take``.
 - ``reassemble_batch`` — ``groupby(doc_id).map_groups`` group fn that
   rebuilds the span list ordered by span ordinal with geocode results
   attached alongside; the per-row invariant (kind, text, media_ref,
@@ -46,7 +51,18 @@ GEO_TYPE = pa.struct([("status", pa.string()), ("lat", pa.float64()),
 
 def explode_spans(batch: pa.Table) -> pa.Table:
     """documents batch -> one row per span, with parsed address fields for
-    address-bearing text spans (is_address=True)."""
+    address-bearing text spans (is_address=True).
+
+    A span is an address when ``kind == "text"``, its text holds a ","
+    and the Python ``_ADDR_HINT`` matches it.  The Arrow pre-filter runs
+    the same rule with RE2, whose ``\b`` knows only ASCII word
+    characters.  On ASCII text the two ``\b`` agree, so the pre-filter
+    is exact there.  On any text a Python match implies an RE2 match:
+    Python's word characters include every ASCII one, so a boundary for
+    Python is a boundary for RE2.  The pre-filter therefore only
+    over-selects, and only on non-ASCII text ("é1000" passes RE2); those
+    candidates alone re-check the Python pattern.  Each distinct kept
+    text is parsed once per batch."""
     flat = pc.list_flatten(batch["spans"])
     parent = pc.list_parent_indices(batch["spans"])
     doc_ids = pc.take(batch["doc_id"], parent)
@@ -66,22 +82,28 @@ def explode_spans(batch: pa.Table) -> pa.Table:
     else:
         span_idx = np.array([], dtype=np.int64)
 
-    # Arrow pre-filter, a superset of the exact rule below: RE2's \b is
-    # ASCII-only where Python's is Unicode-aware ("é1000" passes here)
-    cand = pc.and_kleene(pc.equal(kind, "text"), pc.and_kleene(
-        pc.match_substring(text, ","),
-        pc.match_substring_regex(text, _ADDR_HINT.pattern)))
-    rows = np.flatnonzero(pc.fill_null(cand, False).to_numpy(
+    # RE2 reads only the text spans that hold a comma; its hits are
+    # exact on ASCII text, so only the others re-check the Python rule
+    rows = np.flatnonzero(pc.fill_null(pc.and_kleene(
+        pc.equal(kind, "text"), pc.match_substring(text, ",")),
+        False).to_numpy(zero_copy_only=False))
+    texts = text.take(rows)
+    hint = pc.match_substring_regex(texts, _ADDR_HINT.pattern).to_numpy(
+        zero_copy_only=False)
+    wide = np.flatnonzero(hint & ~pc.string_is_ascii(texts).to_numpy(
         zero_copy_only=False))
-    texts = text.take(rows).to_pylist()
-    keep = [i for i, t in enumerate(texts) if _ADDR_HINT.search(t)]
-    rows = rows[keep]
-    parsed = [parse_free_text(texts[i]) for i in keep]
+    hint[wide] = [_ADDR_HINT.search(t) is not None for t in
+                  texts.take(wide).to_numpy(zero_copy_only=False)]
+    rows = rows[hint]
+    texts = texts.filter(pa.array(hint))
+    enc = texts.dictionary_encode()
+    parsed = [parse_free_text(t) for t in
+              enc.dictionary.to_numpy(zero_copy_only=False)]
     is_addr = np.zeros(n, dtype=bool)
     is_addr[rows] = True
     # non-address rows gather the trailing "" of each parsed column
-    slot = np.full(n, len(rows))
-    slot[rows] = np.arange(len(rows))
+    slot = np.full(n, len(parsed), dtype=np.int32)
+    slot[rows] = enc.indices.to_numpy()
     slot = pa.array(slot)
 
     def parsed_col(part):

@@ -1,10 +1,14 @@
 """``explode_spans`` edge cases: the Arrow address pre-filter must keep
 exactly the rows of the exact Python rule (kind == "text", a comma, and
-a Unicode-aware ``\\b[0-9]{4}\\b`` run).  Expected rows are literals."""
+a Unicode-aware ``\\b[0-9]{4}\\b`` run).  Expected rows are literals,
+or, in the property test, the literal scalar rule row for row."""
 
 import pyarrow as pa
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from georay.spans import SPAN_TYPE, explode_spans
+from georay.gazetteer import parse_free_text
+from georay.spans import _ADDR_HINT, SPAN_TYPE, explode_spans
 
 ADDR = "Rue Haute 12, 1000 Bruxelles"
 
@@ -84,3 +88,60 @@ def test_explode_spans_empty_batch():
     out = explode_spans(_docs().slice(2, 2))   # no spans at all
     assert out.num_rows == 0
     assert out.column_names[:2] == ["doc_id", "span_idx"]
+
+
+# Address-shaped texts (street, separator, number run, tail) and free
+# fragment soups, so accented letters and non-Latin digits land right
+# next to 3-, 4- and 5-digit runs ("é1000", "1000é", "١٠٠٠1000"), with
+# and without commas.
+RUN = st.sampled_from(["1000", "1050", "100", "10000", "é1000", "1000é",
+                       "١٠٠٠", "١٠٠٠1000", "1000٤", "_1000", "1000b"])
+SHAPED = st.tuples(
+    st.sampled_from(["Rue Haute 12", "12 Avenue Louise", "Neuvestraat",
+                     "Chaussée Clovis 7", "", "é"]),
+    st.sampled_from([", ", ",", " ", ""]), RUN,
+    st.sampled_from([" Bruxelles", "", ", Belgium", "é", " 12b",
+                     " Liège, België"])).map("".join)
+FRAGMENT = st.sampled_from([
+    "Rue Haute 12", "Bruxelles", "Belgium", "1000", "1050", "100",
+    "10000", "é", "ü", "١٠٠٠", "٤", "_", "x", "12b", ","])
+SOUP = st.lists(
+    st.tuples(FRAGMENT, st.sampled_from(["", " ", ", ", ","])),
+    max_size=6).map(lambda parts: "".join(f + sep for f, sep in parts))
+TEXT = st.one_of(st.none(), SHAPED, SHAPED, SOUP)
+KIND = st.sampled_from(["text"] * 5 + ["image", "caption", None])
+
+
+@st.composite
+def _span_batches(draw):
+    """Documents whose spans draw from a small pool of (kind, text), so
+    the same text repeats within a batch."""
+    pool = draw(st.lists(st.tuples(KIND, TEXT), min_size=1, max_size=12))
+    pick = st.sampled_from(pool)
+    docs = draw(st.lists(st.lists(pick, max_size=6), min_size=1,
+                         max_size=6))
+    return pa.table({
+        "doc_id": pa.array([f"d{i}" for i in range(len(docs))]),
+        "spans": pa.array([[_span(k, t, j) for j, (k, t) in enumerate(d)]
+                           for d in docs], pa.list_(SPAN_TYPE))})
+
+
+PARSED = {"street_name": "street", "house_number": "housenumber",
+          "post_code": "postcode", "post_name": "city",
+          "country_name": "country"}
+
+
+@given(_span_batches())
+@settings(max_examples=300, deadline=None)
+def test_explode_spans_matches_scalar_rule(docs):
+    out = explode_spans(docs)
+    spans = [s for doc in docs["spans"].to_pylist() for s in doc]
+    want_addr = [s["kind"] == "text" and s["text"] is not None
+                 and "," in s["text"]
+                 and _ADDR_HINT.search(s["text"]) is not None
+                 for s in spans]
+    assert out["is_address"].to_pylist() == want_addr
+    for col, part in PARSED.items():
+        assert out[col].to_pylist() == [
+            parse_free_text(s["text"])[part] if a else ""
+            for s, a in zip(spans, want_addr)], col

@@ -114,3 +114,63 @@ def test_knn_rescuer_batched_scoring():
                   "city_name": pa.array(["", ""])})
     o = r(t)
     assert o["knn_place_ids"].to_pylist() == [[], []]
+
+
+KNN_COLS = ("knn_place_ids", "knn_streets", "knn_scores")
+KNN_TYPES = (pa.list_(pa.int64()), pa.list_(pa.string()),
+             pa.list_(pa.float64()))
+FONSNY = ([100001, 100051, 100101], ["Avenue Fonsny"] * 3, [0.9538] * 3)
+LOUISE = ([100000, 100050, 100100], ["Rue de Louise"] * 3, [0.9538] * 3)
+HAUTE = ([100005, 100105, 100205], ["Hautelaan"] * 3, [0.9333] * 3)
+NONE = ([], [], [])
+
+
+def _mixed_batch():
+    """matched, not_address and empty-street rows among unmatched ones;
+    one unmatched key ("Avenue Fonsy", "10") on three rows; a null
+    postcode falls back to the global candidate set."""
+    return pa.table({
+        "status": pa.array(["match", "not_address", "unmatched",
+                            "unmatched", "match", "unmatched", "unmatched",
+                            "unmatched", "unmatched"]),
+        "street_name": pa.array(["Avenue Fonsny", "", "", "Avenue Fonsy",
+                                 "Rue de Louise", "Avenue Fonsy",
+                                 "Rue de Luise", "Avenue Fonsy",
+                                 "Hautelan"]),
+        "post_code": pa.array(["1000", "", "1000", "1000", "1000", "1000",
+                               "0000", "1000", None], pa.string()),
+        "city_name": pa.array([""] * 9)})
+
+
+MIXED_WANT = [NONE, NONE, NONE, FONSNY, NONE, FONSNY, LOUISE, FONSNY, HAUTE]
+
+
+def _knn_rows(out):
+    for c, t in zip(KNN_COLS, KNN_TYPES):
+        assert out.schema.field(c).type == t
+        assert out[c].null_count == 0
+    return list(zip(*(out[c].to_pylist() for c in KNN_COLS)))
+
+
+def test_knn_rescuer_list_columns():
+    from georay.gazetteer import GazetteerSpec
+    from georay.knn import KnnRescuer
+    r = KnnRescuer(GazetteerSpec(), k=3)
+    want = [tuple(x) for x in MIXED_WANT]
+    assert _knn_rows(r(_mixed_batch())) == want
+    assert _knn_rows(r(_mixed_batch())) == want      # memo hits
+    # no unmatched rows at all
+    t = _mixed_batch().slice(0, 2)
+    out = r(t)
+    assert out.column_names == t.column_names + list(KNN_COLS)
+    assert _knn_rows(out) == [NONE, NONE]
+    assert _knn_rows(r(t.slice(0, 0))) == []
+
+
+def test_knn_rescuer_memo_full_scores_solo():
+    from georay.gazetteer import GazetteerSpec
+    from georay.knn import KnnRescuer
+    r = KnnRescuer(GazetteerSpec(), k=3)
+    r._memo.update({("filler", str(i)): NONE for i in range(1 << 16)})
+    assert _knn_rows(r(_mixed_batch())) == [tuple(x) for x in MIXED_WANT]
+    assert len(r._memo) == 1 << 16
