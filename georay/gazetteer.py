@@ -14,7 +14,8 @@ queries and answer with int arrays of place rows:
   hits, or the city for a street-less query; a clean, in-range, even
   house number turns a street hit into a virtual building.
 - ``fuzzy_many(queries, limit)`` — Photon analogue (base.py:210-238):
-  one dense trigram vote per distinct key tuple, an integer-coded
+  one dense trigram vote per distinct key tuple (``TrigramIndex``, the
+  count filter the kNN rescue shares), an integer-coded
   location filter, then Jaro-Winkler verification of the top 80
   (MF-Join's cheap-filter-then-verify) → ``(query, place_row)``.
 
@@ -193,11 +194,6 @@ _HN_RE = re.compile(r"^[0-9]+[a-zA-Z]?([ /._-]*(bt|bus|box|b)?[ ]*[0-9]*[a-zA-Z]
 _DIGITS_RE = re.compile(r"^([0-9]+)")
 
 
-def _trigrams(s: str) -> set[str]:
-    s = f"  {s} "
-    return {s[i:i + 3] for i in range(len(s) - 2)}
-
-
 def _street_keys(street: str) -> tuple[str, ...]:
     """Normalized lookup keys of a street string: one per " - " or comma
     separated part (bilingual names), empty parts dropped, repeats kept
@@ -215,6 +211,82 @@ def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     ends = np.cumsum(lens)
     return (np.arange(ends[-1] if len(ends) else 0)
             + np.repeat(starts - ends + lens, lens))
+
+
+# trigram digit of a character: " " -> 0, A-Z -> 1-26, anything else -1
+# (every code point from "[" up is clipped onto the last slot)
+_TRI_DIGIT = np.full(92, -1, np.int64)
+_TRI_DIGIT[32] = 0
+_TRI_DIGIT[65:91] = np.arange(1, 27)
+
+
+class TrigramIndex:
+    """Trigram postings over items that each own a tuple of keys, and
+    the count filter over them (MF-Join's cheap filter before
+    verification): how many trigrams each owner of query keys shares
+    with each item.
+
+    Keys are ``normalize_street`` output (" " and A-Z only), padded as
+    ``"  " + key + " "``; a trigram is the integer
+    ``729 d0 + 27 d1 + d2`` < 27**3 of its three digits.  The postings
+    are CSR arrays with dense offsets over every code: one posting per
+    (item key, distinct trigram of that key), repeats across an item's
+    keys kept."""
+
+    N_CODES = 27 ** 3
+    _VOTE_CELLS = 1 << 15   # dense vote cells per chunk of owners
+
+    def __init__(self, item_keys: list[tuple[str, ...]]):
+        self.n_items = len(item_keys)
+        item, code = self._tuple_codes(item_keys)
+        self._post = item[np.argsort(code, kind="stable")]
+        self._off = np.r_[0, np.cumsum(np.bincount(
+            code, minlength=self.N_CODES))]
+
+    @classmethod
+    def encode(cls, keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(key, code) int arrays, one pair per distinct trigram of each
+        of ``keys``, sorted by key then code.  Raises ValueError on a
+        character outside " A-Z"."""
+        chars = np.frombuffer("".join(f"  {k} " for k in keys)
+                              .encode("utf-32-le"), np.uint32)
+        digit = _TRI_DIGIT[np.minimum(chars, len(_TRI_DIGIT) - 1)]
+        bad = np.flatnonzero(digit < 0)
+        if len(bad):
+            raise ValueError("trigram keys hold only ' ' and A-Z, not "
+                             f"{chr(chars[bad[0]])!r}")
+        n_tri = np.fromiter((len(k) + 1 for k in keys), np.int64, len(keys))
+        pos = concat_ranges(np.cumsum(n_tri + 2) - n_tri - 2, n_tri)
+        code = digit[pos] * 729 + digit[pos + 1] * 27 + digit[pos + 2]
+        pair = np.unique(np.repeat(np.arange(len(keys)), n_tri)
+                         * cls.N_CODES + code)
+        return pair // cls.N_CODES, pair % cls.N_CODES
+
+    @classmethod
+    def _tuple_codes(cls, key_tuples: list[tuple[str, ...]]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """``encode`` over the keys of every tuple, with each pair's key
+        replaced by the tuple that holds it."""
+        n_keys = np.fromiter(map(len, key_tuples), np.int64, len(key_tuples))
+        key, code = cls.encode([k for keys in key_tuples for k in keys])
+        return np.repeat(np.arange(len(key_tuples)), n_keys)[key], code
+
+    def votes(self, owner_keys: list[tuple[str, ...]]):
+        """Yield ``(first, counts)`` per chunk of owners: ``counts[o, i]``
+        is the number of (key of owner ``first + o``, distinct trigram of
+        that key, posting of item ``i`` under it), a dense int64 matrix
+        of at most ``_VOTE_CELLS`` cells (or one row, if that is more)."""
+        owner, code = self._tuple_codes(owner_keys)
+        n = self.n_items
+        step = max(1, self._VOTE_CELLS // max(n, 1))
+        for u0 in range(0, len(owner_keys), step):
+            m = min(step, len(owner_keys) - u0)
+            a, b = np.searchsorted(owner, [u0, u0 + m])
+            starts = self._off[code[a:b]]
+            lens = self._off[code[a:b] + 1] - starts
+            cell = (np.repeat(owner[a:b] - u0, lens) * n
+                    + self._post[concat_ranges(starts, lens)])
+            yield u0, np.bincount(cell, minlength=m * n).reshape(m, n)
 
 
 @lru_cache(maxsize=1 << 17)
@@ -262,7 +334,6 @@ class Gazetteer:
     _CLEAN_HN_RE = re.compile(r"^([0-9]+)[a-zA-Z]?$")
     TOP_VOTES = 80        # fuzzy: streets verified per key tuple
     MIN_SIMILARITY = 0.82  # fuzzy: Jaro-Winkler acceptance threshold
-    _VOTE_CELLS = 1 << 15  # fuzzy: dense vote cells per chunk of key tuples
 
     def __init__(self, spec: GazetteerSpec):
         self.spec = spec
@@ -311,12 +382,10 @@ class Gazetteer:
         self._city_code: dict[str, int] = {}
         self._s_pc = np.empty(n_s, np.int64)
         self._s_city = np.empty(n_s, np.int64)
-        # fuzzy index: trigram postings (one per street part holding the
-        # trigram, repeats included) and each street's distinct
-        # normalized variants, both as CSR arrays
-        self._tri_id: dict[str, int] = {}
-        post_tri: list[int] = []
-        post_s: list[int] = []
+        # fuzzy index: the trigrams of every street part (repeats
+        # included) and each street's distinct normalized variants as
+        # CSR arrays
+        street_keys: list[tuple[str, ...]] = []
         var_id: dict[str, int] = {}
         var_ids: list[int] = []
         var_off = [0]
@@ -326,26 +395,19 @@ class Gazetteer:
             self._s_pc[s] = self._pc_code.setdefault(pc, len(self._pc_code))
             self._s_city[s] = self._city_code.setdefault(
                 cityn, len(self._city_code))
-            norms = set()
-            for v in {cols["name"][r], cols["name_fr"][r], cols["name_nl"][r],
-                      cols["street_name"][r]}:
-                for key in _street_keys(v):
-                    norms.add(key)
-                    exact.setdefault((key, pc), set()).add(s)
-                    exact.setdefault((key, cityn), set()).add(s)
-                    for t in _trigrams(key):
-                        post_tri.append(self._tri_id.setdefault(
-                            t, len(self._tri_id)))
-                        post_s.append(s)
+            keys = tuple(k for v in {cols["name"][r], cols["name_fr"][r],
+                                     cols["name_nl"][r],
+                                     cols["street_name"][r]}
+                         for k in _street_keys(v))
+            street_keys.append(keys)
+            for key in keys:
+                exact.setdefault((key, pc), set()).add(s)
+                exact.setdefault((key, cityn), set()).add(s)
             var_ids += [var_id.setdefault(k, len(var_id))
-                        for k in sorted(norms)]
+                        for k in sorted(set(keys))]
             var_off.append(len(var_ids))
         self._exact = {k: tuple(sorted(v)) for k, v in exact.items()}
-        post_tri_a = np.array(post_tri, np.int64)
-        self._post_s = np.array(post_s, np.int64)[
-            np.argsort(post_tri_a, kind="stable")]
-        self._post_off = np.r_[0, np.cumsum(np.bincount(
-            post_tri_a, minlength=len(self._tri_id)))]
+        self._trigram_index = TrigramIndex(street_keys)
         self._var_ids = np.array(var_ids, np.int64)
         self._var_off = np.array(var_off, np.int64)
         self._var_str = list(var_id)
@@ -485,29 +547,11 @@ class Gazetteer:
         """Trigram vote of each key tuple over every street → the
         ``TOP_VOTES`` streets with the most votes per tuple (ties by
         place_id) as (tuple, street) pairs sorted by tuple then street.
-        A tuple votes once per trigram of each key, so a street gains one
-        vote per (key, trigram, street part holding it)."""
-        tri_u, tri = [], []
-        for u, keys in enumerate(key_tuples):
-            for k in keys:
-                for t in _trigrams(k):
-                    j = self._tri_id.get(t)
-                    if j is not None:
-                        tri_u.append(u)
-                        tri.append(j)
-        tri_a = np.array(tri, np.int64)
-        tri_u_a = np.array(tri_u, np.int64)
+        A tuple votes once per distinct trigram of each key, so a street
+        gains one vote per (key, trigram, street part holding it)."""
         n_s, k_top = len(self._street_rows), self.TOP_VOTES
-        step = max(1, self._VOTE_CELLS // max(n_s, 1))
         out_u, out_s = [], []
-        for u0 in range(0, len(key_tuples), step):
-            m = min(step, len(key_tuples) - u0)
-            a, b = np.searchsorted(tri_u_a, [u0, u0 + m])
-            starts = self._post_off[tri_a[a:b]]
-            lens = self._post_off[tri_a[a:b] + 1] - starts
-            cell = (np.repeat(tri_u_a[a:b] - u0, lens) * n_s
-                    + self._post_s[concat_ranges(starts, lens)])
-            votes = np.bincount(cell, minlength=m * n_s).reshape(m, n_s)
+        for u0, votes in self._trigram_index.votes(key_tuples):
             if n_s <= k_top:
                 top = votes > 0
             else:

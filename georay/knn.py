@@ -23,7 +23,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .config import CITY, POSTCODE, STATUS, STREET
-from .gazetteer import GazetteerSpec, get_gazetteer
+from .gazetteer import GazetteerSpec, TrigramIndex, get_gazetteer
 from .textkernels import normalize_street
 
 
@@ -42,9 +42,12 @@ class KnnRescuer:
     bit-replicable by the DuckDB oracle's built-in ``levenshtein``)
     instead of the scalar unrestricted Damerau-Levenshtein; this scorer
     is net-new (not reference semantics — the reference comparator
-    kernels in compare.py are untouched).  ``prefilter`` is a PERF knob,
-    not semantics: with ``prefilter >= bucket size`` the top-k is exact
-    over the bucket, which is the mode the content oracle checks.
+    kernels in compare.py are untouched).  A bucket larger than
+    ``prefilter`` is cut to its ``prefilter`` names sharing the most
+    trigrams with the query (``gazetteer.TrigramIndex``, one vote over
+    the batch).  ``prefilter`` is a PERF knob, not semantics: with
+    ``prefilter >= bucket size`` the top-k is exact over the bucket,
+    which is the mode the content oracle checks.
 
     Output: three list columns ``knn_place_ids`` (list<int64>),
     ``knn_streets`` (list<string>) and ``knn_scores`` (list<double>),
@@ -64,77 +67,59 @@ class KnnRescuer:
         self.place_ids = streets["place_id"].to_numpy()
         self.street_names = streets["name"].to_numpy()
         # padded char-code matrices for the vectorized kernels: raw
-        # normalized names + token-sorted forms (both static per worker).
-        # uint8: normalize_street output is [A-Z ] only.
-        self.cand_codes, self.cand_lens = codes_matrix(list(self.names),
-                                                       dtype=np.uint8)
+        # normalized names + token-sorted forms (both static per worker)
+        self.cand_codes, self.cand_lens = codes_matrix(list(self.names))
         toksorted = [" ".join(sorted(n.split())) for n in self.names]
-        self.tok_codes, self.tok_lens = codes_matrix(toksorted,
-                                                     dtype=np.uint8)
+        self.tok_codes, self.tok_lens = codes_matrix(toksorted)
         self.pc_prefix: dict[str, np.ndarray] = {}
         pref = streets["post_code"].astype(str).str[:2].to_numpy()
         for p in np.unique(pref):
             self.pc_prefix[p] = np.flatnonzero(pref == p)
-        # trigram posting lists (as int arrays, for bincount voting):
-        # candidate pre-filter so a bucket miss never degenerates into a
-        # full-gazetteer scan
-        tri: dict[str, list[int]] = {}
-        for i, nm in enumerate(self.names):
-            s = f"  {nm} "
-            for t in {s[j:j + 3] for j in range(len(s) - 2)}:
-                tri.setdefault(t, []).append(i)
-        self.trigram: dict[str, np.ndarray] = {
-            t: np.array(v, dtype=np.int64) for t, v in tri.items()}
+        # trigram candidate pre-filter, so a bucket miss never
+        # degenerates into a full-gazetteer scan
+        self._trigram_index = TrigramIndex([(nm,) for nm in self.names])
         # bounded per-worker memo: top-k per (street, pc-prefix) — real
         # corpora repeat the same unmatched address across batches
         self._memo: dict = {}
 
-    def _candidate_idxs(self, q: str, idxs: np.ndarray) -> np.ndarray:
-        """Prefilter a bucket to <= ``prefilter`` candidates via trigram
-        votes (round-2 selection semantics, now bincount-vectorized:
-        the per-posting dict scan was ~1 ms per query)."""
-        if len(idxs) <= self.prefilter:
-            return np.asarray(idxs, dtype=np.int64)
-        s = f"  {q} "
-        hits = [self.trigram[t]
-                for t in {s[j:j + 3] for j in range(len(s) - 2)}
-                if t in self.trigram]
-        if hits:
-            votes = np.bincount(np.concatenate(hits),
-                                minlength=len(self.names))
-            sub = votes[idxs]
-            keep = np.asarray(idxs)[sub > 0]
-            if len(keep):
-                # top by (-votes, idx): idxs are ascending, stable sort
-                order = np.argsort(-votes[keep], kind="stable")
-                return keep[order[:self.prefilter]].astype(np.int64)
-        # no trigram overlap anywhere — best-effort deterministic slice
-        return np.asarray(idxs[:self.prefilter], dtype=np.int64)
+    def _candidates(self, qnorms: list[str], pc2s: list[str]
+                    ) -> list[np.ndarray]:
+        """Name indexes to score per query: its postcode-prefix bucket
+        (every name when the prefix has none), cut to ``prefilter``
+        names by one trigram vote over the queries whose bucket is
+        larger — the names with votes, by (-votes, index), else the
+        bucket's first names.  An empty query gets none."""
+        none = np.empty(0, dtype=np.int64)
+        everyone = np.arange(len(self.names))
+        cands = [self.pc_prefix.get(pc2, everyone) if q else none
+                 for q, pc2 in zip(qnorms, pc2s)]
+        big = [i for i, c in enumerate(cands) if len(c) > self.prefilter]
+        owners = [(qnorms[i],) for i in big]
+        for u0, votes in self._trigram_index.votes(owners):
+            for i, v in zip(big[u0:], votes):
+                sub = v[cands[i]]
+                hit = sub > 0
+                if hit.any():
+                    # buckets are ascending: a stable sort breaks ties
+                    cands[i] = cands[i][hit][np.argsort(-sub[hit],
+                                                        kind="stable")]
+                cands[i] = cands[i][:self.prefilter]
+        return cands
 
     def _score_batch(self, uniq: list[tuple[str, str]]) -> list[tuple]:
         """Top-k for each unique (street, pc2): one pairwise kernel call
         for the whole batch's (query x candidate) pairs."""
         from .textvec import (codes_matrix, jaro_winkler_pairs,
                               lev_similarity_pairs)
-        qnorms, cand_lists = [], []
-        for street, pc2 in uniq:
-            q = normalize_street(street)
-            qnorms.append(q)
-            if not q:
-                cand_lists.append(np.empty(0, dtype=np.int64))
-                continue
-            idxs = self.pc_prefix.get(pc2)
-            if idxs is None or len(idxs) == 0:
-                idxs = np.arange(len(self.names))
-            cand_lists.append(self._candidate_idxs(q, idxs))
+        qnorms = [normalize_street(street) for street, _ in uniq]
+        cand_lists = self._candidates(qnorms, [pc2 for _, pc2 in uniq])
         counts = np.array([len(c) for c in cand_lists], dtype=np.int64)
         results: list[tuple] = [([], [], [])] * len(uniq)
         total = int(counts.sum())
         if total == 0:
             return results
-        qc, ql = codes_matrix(qnorms, dtype=np.uint8)
-        tq, tl = codes_matrix([" ".join(sorted(q.split())) for q in qnorms],
-                              dtype=np.uint8)
+        qc, ql = codes_matrix(qnorms)
+        tq, tl = codes_matrix([" ".join(sorted(q.split())) for q in qnorms])
         rep = np.repeat(np.arange(len(uniq)), counts)
         cand = np.concatenate([c for c in cand_lists if len(c)])
         # bucket pairs by candidate length: kernel cost scales with the
@@ -195,17 +180,15 @@ class KnnRescuer:
             streets = batch[STREET].take(idx).to_numpy(zero_copy_only=False)
             pcs = batch[POSTCODE].take(idx).to_numpy(zero_copy_only=False)
             keys = [(st, str(pc)[:2]) for st, pc in zip(streets, pcs)]
-            fresh = [kk for kk in dict.fromkeys(keys)
-                     if kk not in self._memo]
+            got = {kk: self._memo.get(kk) for kk in dict.fromkeys(keys)}
+            fresh = [kk for kk, hit in got.items() if hit is None]
             if fresh:
-                for kk, res in zip(fresh, self._score_batch(fresh)):
-                    if len(self._memo) < (1 << 16):
-                        self._memo[kk] = res
+                got.update(zip(fresh, self._score_batch(fresh)))
+                room = max(0, (1 << 16) - len(self._memo))
+                self._memo.update((kk, got[kk]) for kk in fresh[:room])
             # todo is ascending, so the flat values come out in row order
             for kk, loc in zip(keys, todo):
-                hit = self._memo.get(kk)
-                if hit is None:   # memo full — score the stragglers solo
-                    hit = self._score_batch([kk])[0]
+                hit = got[kk]
                 lens[loc] = len(hit[0])
                 ids += hit[0]
                 names += hit[1]

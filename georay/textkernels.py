@@ -1,13 +1,13 @@
 """Pure string kernels: accent folding, Damerau-Levenshtein, inclusion test,
-fingerprint, Jaro-Winkler, token-sort.
+fingerprint, Jaro-Winkler, street-name normalization.
 
 Semantics pinned to the reference (/root/reference/check_result_utils.py):
 ``remove_accents`` :31-50, ``levenshtein_similarity`` :147-168 (jellyfish's
 unrestricted Damerau-Levenshtein, re-implemented from the published
 algorithm), ``inclusion_test`` :180-205, ``fingerprint`` :212-240.
-Jaro-Winkler and token-sort are net-new (north-rule kNN scoring), from the
-published formulas.  All are plain functions — used inside ``map_batches``
-batch fns, never per-row over a Dataset.
+Jaro-Winkler is net-new (fuzzy gazetteer verification, kNN rescue scoring),
+from the published formula.  All are plain functions — used inside
+``map_batches`` batch fns, never per-row over a Dataset.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import lru_cache
 
 __all__ = [
     "remove_accents", "damerau_levenshtein", "levenshtein_similarity",
-    "inclusion_test", "fingerprint", "jaro_winkler", "token_sort_ratio",
+    "inclusion_test", "fingerprint", "jaro_winkler",
     "normalize_street",
 ]
 
@@ -184,10 +184,3 @@ def jaro_winkler(s1: str, s2: str, prefix_weight: float = 0.1) -> float:
             break
     return jaro + prefix * prefix_weight * (1.0 - jaro)
 
-
-def token_sort_ratio(s1: str, s2: str) -> float:
-    """Levenshtein similarity of the sorted-token forms (published
-    token-sort idea; net-new for kNN scoring)."""
-    t1 = " ".join(sorted(s1.split()))
-    t2 = " ".join(sorted(s2.split()))
-    return levenshtein_similarity(t1, t2)

@@ -1,212 +1,45 @@
-"""Vectorized string-similarity kernels: one query against MANY
-candidates held as a padded character-code matrix.
+"""Vectorized string-similarity kernels over (query, candidate) PAIRS
+held as padded character-code matrices: the scorer of ``KnnRescuer``.
 
 Motivation (round-3 perf item): ``KnnRescuer`` scored each
-(row x candidate) pair with pure-Python ``jaro_winkler`` /
-``token_sort_ratio`` calls — the textbook place for a batch kernel.
-Here the candidate set (gazetteer street names) is STATIC per actor, so
-its code matrix is built once in ``__init__`` and every query scores
-against a row subset with numpy ops only.
+(row x candidate) pair with pure-Python scalar calls — the textbook
+place for a batch kernel.  The candidate set (gazetteer street names)
+is STATIC per actor, so its code matrix is built once in ``__init__``;
+a batch's pairs index row subsets and score with numpy ops only.
 
-Parity contract:
+Parity contract (property-tested in tests/test_textvec.py):
 
-- ``jaro_winkler_vec`` returns EXACTLY ``textkernels.jaro_winkler(q, c)``
-  for every candidate (property-tested in tests/test_textvec.py).
-- ``osa_similarity_vec`` is the vectorized token-sort kernel for the
-  net-new kNN rescue scorer.  It uses the OSA (restricted) transposition
-  recurrence — vectorizable with the prefix-min insertion trick — while
-  the reference comparator kernels (``textkernels.damerau_levenshtein``,
-  check_result_utils.py:147-168 semantics) keep the unrestricted scalar
-  form; the two differ only on pathological overlapping-transposition
-  inputs that street names do not exhibit.  ``osa_distance`` is the
-  scalar reference implementation the vector kernel is tested against.
+- ``jaro_winkler_pairs`` returns EXACTLY ``textkernels.jaro_winkler(q, c)``
+  for every pair.
+- ``lev_similarity_pairs`` returns EXACTLY ``1 - lev(q, c) / max(len)``
+  for plain Levenshtein ``lev`` (no transpositions), the distance
+  DuckDB's built-in ``levenshtein`` replays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "codes_matrix", "jaro_winkler_pairs", "jaro_winkler_vec",
-    "lev_similarity_pairs", "osa_distance", "osa_similarity_pairs",
-    "osa_similarity_vec", "str_codes",
-]
+__all__ = ["codes_matrix", "jaro_winkler_pairs", "lev_similarity_pairs"]
 
 
-def str_codes(s: str) -> np.ndarray:
-    """Unicode code points of ``s`` as a uint32 vector."""
-    if not s:
-        return np.empty(0, dtype=np.uint32)
-    return np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
-
-
-def codes_matrix(strings: list[str], dtype=np.uint32
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, lens): (k, L) code matrix padded with 0 (NUL never
+def codes_matrix(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, lens): (k, L) uint8 code matrix padded with 0 (NUL never
     appears in real names) + per-row lengths.  Built ONCE per candidate
-    set; queries index row subsets.  Pass ``dtype=np.uint8`` when every
-    string is ASCII (e.g. ``normalize_street`` output is [A-Z ] only) —
-    quarter the memory traffic of the comparison kernels.  Characters
-    outside the dtype's range raise (never silently truncate)."""
+    set; queries index row subsets.  The kernels' callers pass
+    ``normalize_street`` output ([A-Z ] only); a code point above 255
+    raises ValueError (never silently truncated)."""
     k = len(strings)
-    lens = np.fromiter((len(s) for s in strings), dtype=np.int64, count=k)
-    L = int(lens.max()) if k else 0
-    codes = np.zeros((k, max(L, 1)), dtype=dtype)
-    limit = int(np.iinfo(dtype).max)
-    for i, s in enumerate(strings):
-        if s:
-            c = str_codes(s)
-            if int(c.max()) > limit:
-                raise ValueError(
-                    f"codes_matrix dtype {dtype} too narrow for {s!r}")
-            codes[i, :len(s)] = c
+    lens = np.fromiter(map(len, strings), dtype=np.int64, count=k)
+    try:
+        flat = np.frombuffer("".join(strings).encode("latin-1"), np.uint8)
+    except UnicodeEncodeError as e:
+        raise ValueError(f"codes_matrix holds code points up to 255 only: "
+                         f"{e.object[e.start]!r}") from None
+    codes = np.zeros((k, max(int(lens.max(initial=0)), 1)), dtype=np.uint8)
+    row = np.repeat(np.arange(k), lens)
+    codes[row, np.arange(len(flat)) - (np.cumsum(lens) - lens)[row]] = flat
     return codes, lens
-
-
-def jaro_winkler_vec(q: str, codes: np.ndarray, lens: np.ndarray,
-                     prefix_weight: float = 0.1) -> np.ndarray:
-    """Jaro-Winkler of ``q`` vs every candidate row — exact parity with
-    ``textkernels.jaro_winkler``.
-
-    Vectorization: the greedy match pass loops over the QUERY chars only
-    (m iterations, typically < 40); each iteration resolves "first
-    unused in-window equal char" for ALL candidates at once with a
-    masked argmax.  Transposition counting compacts both matched-char
-    sequences with one argsort-free gather per side.
-    """
-    qa = str_codes(q)
-    m = len(qa)
-    k = len(lens)
-    out = np.zeros(k, dtype=np.float64)
-    if k == 0:
-        return out
-    if m == 0:
-        out[lens == 0] = 1.0  # both empty -> 1.0 (scalar kernel parity)
-        return out
-    L = codes.shape[1]
-    lens = lens.astype(np.int64)
-    nonempty = lens > 0
-
-    # per-candidate match window: max(len_q, len_c)//2 - 1, floor 0
-    win = np.maximum(np.maximum(lens, m) // 2 - 1, 0)
-    pos = np.arange(L)[None, :]                      # (1, L)
-    valid = pos < lens[:, None]                      # (k, L)
-    used = np.zeros((k, L), dtype=bool)
-    # q-side matched flags in i order; cand-side char taken per i
-    qmatch = np.zeros((k, m), dtype=bool)
-    for i in range(m):
-        lo = np.maximum(0, i - win)[:, None]
-        hi = np.minimum(lens, i + win + 1)[:, None]
-        elig = ((pos >= lo) & (pos < hi) & valid & ~used
-                & (codes == qa[i]))
-        any_row = elig.any(axis=1)
-        if not any_row.any():
-            continue
-        first = elig.argmax(axis=1)                  # first True per row
-        rows = np.flatnonzero(any_row)
-        used[rows, first[rows]] = True
-        qmatch[rows, i] = True
-
-    mc = used.sum(axis=1)                            # match count per row
-    has = mc > 0
-    if has.any():
-        # q-side matched chars in i order / cand-side in j order: pad to
-        # the max match count and compare positionally.
-        maxmc = int(mc.max())
-        # stable compaction: argsort on ~flag keeps True positions in
-        # original order at the front
-        qorder = np.argsort(~qmatch, axis=1, kind="stable")[:, :maxmc]
-        qseq = qa[None, :].repeat(k, axis=0)[
-            np.arange(k)[:, None], qorder]           # (k, maxmc)
-        corder = np.argsort(~used, axis=1, kind="stable")[:, :maxmc]
-        cseq = codes[np.arange(k)[:, None], corder]
-        slot = np.arange(maxmc)[None, :] < mc[:, None]
-        half_t = ((qseq != cseq) & slot).sum(axis=1) // 2
-
-        mcf = mc.astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            jaro = np.where(
-                has & nonempty,
-                (mcf / m + mcf / np.maximum(lens, 1)
-                 + (mcf - half_t) / np.maximum(mcf, 1)) / 3.0,
-                0.0)
-    else:
-        jaro = np.zeros(k, dtype=np.float64)
-
-    # Winkler prefix boost: common prefix up to 4 chars
-    pl = min(4, m, L)
-    if pl > 0:
-        eq = codes[:, :pl] == qa[None, :pl]
-        eq &= pos[:, :pl] < lens[:, None]
-        prefix = np.minimum(eq.cumprod(axis=1).sum(axis=1),
-                            np.minimum(lens, 4))
-    else:
-        prefix = np.zeros(k, dtype=np.int64)
-    return jaro + prefix * prefix_weight * (1.0 - jaro)
-
-
-def osa_distance(a: str, b: str) -> int:
-    """Scalar OSA (restricted Damerau-Levenshtein) — the reference
-    implementation ``osa_similarity_vec`` is tested against."""
-    la, lb = len(a), len(b)
-    if la == 0:
-        return lb
-    if lb == 0:
-        return la
-    prev2 = None
-    prev = list(range(lb + 1))
-    for i in range(1, la + 1):
-        cur = [i] + [0] * lb
-        for j in range(1, lb + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            cur[j] = min(prev[j - 1] + cost, prev[j] + 1, cur[j - 1] + 1)
-            if (i > 1 and j > 1 and a[i - 1] == b[j - 2]
-                    and a[i - 2] == b[j - 1]):
-                cur[j] = min(cur[j], prev2[j - 2] + 1)
-        prev2, prev = prev, cur
-    return prev[lb]
-
-
-def osa_similarity_vec(q: str, codes: np.ndarray,
-                       lens: np.ndarray) -> np.ndarray:
-    """1 - OSA(q, c) / max(len(q), len(c)) for every candidate row.
-
-    Vectorized over candidates AND positions: loop over query chars only;
-    the insertion recurrence (left-neighbor dependency) collapses to a
-    prefix-min via ``minimum.accumulate(t - j) + j``.
-    """
-    qa = str_codes(q)
-    m = len(qa)
-    k, L = codes.shape
-    lens = lens.astype(np.int64)
-    if k == 0:
-        return np.zeros(0, dtype=np.float64)
-    if m == 0 or L == 0:
-        d = np.where(m == 0, lens, m).astype(np.float64)
-        sim = 1.0 - d / np.maximum(np.maximum(lens, m), 1)
-        both_empty = (lens == 0) & (m == 0)
-        return np.where(both_empty, 1.0, sim)
-
-    j_idx = np.arange(L + 1, dtype=np.int64)[None, :]       # (1, L+1)
-    prev2 = None
-    prev = np.broadcast_to(j_idx, (k, L + 1)).astype(np.int64).copy()
-    for i in range(1, m + 1):
-        cost = (codes != qa[i - 1]).astype(np.int64)        # (k, L)
-        t = np.empty((k, L + 1), dtype=np.int64)
-        t[:, 0] = i
-        t[:, 1:] = np.minimum(prev[:, :-1] + cost, prev[:, 1:] + 1)
-        if i > 1:
-            # OSA transposition: a[i-1]==b[j-2] and a[i-2]==b[j-1]
-            tr = (codes[:, :-1] == qa[i - 1]) & (codes[:, 1:] == qa[i - 2])
-            t[:, 2:] = np.minimum(t[:, 2:],
-                                  np.where(tr, prev2[:, :-2] + 1,
-                                           np.iinfo(np.int64).max // 2))
-        # insertion prefix-min: cur[j] = min_{l<=j}(t[l] + (j-l))
-        cur = np.minimum.accumulate(t - j_idx, axis=1) + j_idx
-        prev2, prev = prev, cur
-    d = prev[np.arange(k), np.minimum(lens, L)].astype(np.float64)
-    denom = np.maximum(np.maximum(lens, m), 1).astype(np.float64)
-    return 1.0 - d / denom
 
 
 def jaro_winkler_pairs(qcodes: np.ndarray, qlens: np.ndarray,
@@ -304,22 +137,25 @@ def jaro_winkler_pairs(qcodes: np.ndarray, qlens: np.ndarray,
     return unsorted
 
 
-def osa_similarity_pairs(qcodes: np.ndarray, qlens: np.ndarray,
-                         ccodes: np.ndarray, clens: np.ndarray,
-                         transpositions: bool = True) -> np.ndarray:
-    """Token-sort-style similarity for P pairs: 1 - dist/max(len), with
-    ``levenshtein_similarity``'s edge rule (both empty -> 0.0).  Same
-    wavefront vectorization as ``osa_similarity_vec``; pairs are sorted
-    by descending query length so iteration ``i`` computes only the
-    still-active prefix of rows (their finished rows stay frozen in the
-    full buffers), and the DP runs in int32 — distances are bounded by
-    the padded string widths, and halving the per-iteration memory
-    traffic is what this kernel's cost is made of.
+def lev_similarity_pairs(qcodes: np.ndarray, qlens: np.ndarray,
+                         ccodes: np.ndarray, clens: np.ndarray
+                         ) -> np.ndarray:
+    """1 - Levenshtein/max(len) for P pairs, with
+    ``levenshtein_similarity``'s edge rule (both empty -> 0.0): the
+    kNN-rescue token-sort leg.  Plain Levenshtein (no transpositions) so
+    the DuckDB oracle reproduces every distance exactly with its
+    built-in ``levenshtein`` — the final ``1 - d/max`` division is one
+    IEEE op on identical integers on both sides.
 
-    ``transpositions=True`` gives the OSA (restricted Damerau) distance;
-    ``False`` drops the transposition recurrence, yielding plain
-    Levenshtein — bit-identical to DuckDB's ``levenshtein``, which is
-    what makes the kNN-rescue scorer fully SQL-oracle-checkable."""
+    Vectorized over pairs AND positions: the loop runs over query
+    characters only, and the insertion recurrence (left-neighbour
+    dependency) collapses to a prefix-min via
+    ``minimum.accumulate(t - j) + j``.  Pairs are sorted by descending
+    query length so iteration ``i`` computes only the still-active
+    prefix of rows (their finished rows stay frozen in the full
+    buffer), and the DP runs in int16 — distances are bounded by the
+    padded string widths, and the per-iteration memory traffic is what
+    this kernel's cost is made of."""
     P, Mq = qcodes.shape
     L = ccodes.shape[1]
     qlens = qlens.astype(np.int64)
@@ -337,8 +173,6 @@ def osa_similarity_pairs(qcodes: np.ndarray, qlens: np.ndarray,
     ccodes_s, clens_s = ccodes[order], clens[order]
     j_idx = np.arange(L + 1, dtype=np.int16)[None, :]
     prev = np.broadcast_to(j_idx, (P, L + 1)).astype(np.int16).copy()
-    prev2 = prev.copy()
-    big = np.int16(np.iinfo(np.int16).max // 2)
     maxm = int(qlens_s.max())
     neg_ql = -qlens_s
     for i in range(1, maxm + 1):
@@ -350,14 +184,7 @@ def osa_similarity_pairs(qcodes: np.ndarray, qlens: np.ndarray,
         t = np.empty((n, L + 1), dtype=np.int16)
         t[:, 0] = i
         t[:, 1:] = np.minimum(prev[:n, :-1] + cost, prev[:n, 1:] + 1)
-        if transpositions and i > 1:
-            qa_p = qcodes[:n, i - 2][:, None]
-            tr = (ccodes_s[:n, :-1] == qa_i) & (ccodes_s[:n, 1:] == qa_p)
-            t[:, 2:] = np.minimum(t[:, 2:],
-                                  np.where(tr, prev2[:n, :-2] + 1, big))
-        cur = np.minimum.accumulate(t - j_idx, axis=1) + j_idx
-        prev2[:n] = prev[:n]
-        prev[:n] = cur
+        prev[:n] = np.minimum.accumulate(t - j_idx, axis=1) + j_idx
     d = prev[np.arange(P), np.minimum(clens_s, L)].astype(np.float64)
     denom = np.maximum(np.maximum(qlens_s, clens_s), 1).astype(np.float64)
     sim = 1.0 - d / denom
@@ -365,15 +192,3 @@ def osa_similarity_pairs(qcodes: np.ndarray, qlens: np.ndarray,
     unsorted = np.empty_like(sim)
     unsorted[order] = sim
     return unsorted
-
-
-def lev_similarity_pairs(qcodes: np.ndarray, qlens: np.ndarray,
-                         ccodes: np.ndarray, clens: np.ndarray
-                         ) -> np.ndarray:
-    """1 - Levenshtein/max(len) for P pairs (both empty -> 0.0): the
-    kNN-rescue token-sort leg.  Plain Levenshtein (no transpositions) so
-    the DuckDB oracle reproduces every distance exactly with its
-    built-in ``levenshtein`` — the final ``1 - d/max`` division is one
-    IEEE op on identical integers on both sides."""
-    return osa_similarity_pairs(qcodes, qlens, ccodes, clens,
-                                transpositions=False)

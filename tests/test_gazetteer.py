@@ -24,10 +24,16 @@ from georay.config import (DROP_ADDR_ITEMS, INPUT_FIELDS,
                            O_DISPLAY, O_HOUSENBR, O_LAT, O_LON, O_OTHER,
                            O_POSTCODE, O_STREET, PipelineConfig)
 from georay.corpus import make_addresses
-from georay.gazetteer import (Gazetteer, GazetteerSpec, _trigrams,
+from georay.gazetteer import (Gazetteer, GazetteerSpec, TrigramIndex,
                               get_gazetteer, parse_free_text)
 from georay.parser import AddressParser
 from georay.textkernels import jaro_winkler, normalize_street
+
+
+def _trigrams(s: str) -> set[str]:
+    """The distinct trigrams of a key, padded as "  " + key + " "."""
+    s = f"  {s} "
+    return {s[i:i + 3] for i in range(len(s) - 2)}
 
 
 class _Reference:
@@ -382,6 +388,41 @@ def test_top_votes_are_the_reference_top_80(text):
     assert (tuple_id == 0).all()
     got = GAZ.columns["place_id"][GAZ._street_rows[s]].tolist()
     assert got == want and 0 < len(got) <= 80
+
+
+_KEYS = st.lists(st.text(alphabet="AB ", max_size=5), max_size=4).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=st.lists(_KEYS, max_size=8), owners=st.lists(_KEYS, max_size=8),
+       cells=st.integers(1, 40))
+def test_trigram_votes_are_the_literal_count(items, owners, cells):
+    """votes[o, i] = #(key of owner o, distinct trigram of it, key of item
+    i holding it): keys repeated within an item or an owner count again,
+    empty keys hold the one trigram "   ", owners without keys get 0."""
+    index = TrigramIndex(items)
+    index._VOTE_CELLS = cells      # many chunks, and one-row chunks
+    got = np.zeros((len(owners), len(items)), np.int64)
+    for first, votes in index.votes(owners):
+        assert votes.shape[1] == len(items)
+        assert votes.size <= max(cells, len(items))
+        got[first:first + len(votes)] = votes
+    want = [[sum(t in _trigrams(ik) for k in keys for t in _trigrams(k)
+                 for ik in item) for item in items] for keys in owners]
+    assert got.tolist() == want
+
+
+def test_trigram_encoding():
+    key, code = TrigramIndex.encode(["AB", "", "ZZZZ"])
+    digit = {" ": 0, **{chr(65 + i): i + 1 for i in range(26)}}
+    want = sorted((k, 729 * digit[t[0]] + 27 * digit[t[1]] + digit[t[2]])
+                  for k, s in enumerate(["AB", "", "ZZZZ"])
+                  for t in _trigrams(s))
+    assert list(zip(key.tolist(), code.tolist())) == want
+    assert code.max() < TrigramIndex.N_CODES == 27 ** 3
+    for bad in ("rue", "RUE-", "RUE1", "ÉTÉ", "ŁÓDŹ", "A\tB"):
+        with pytest.raises(ValueError):
+            TrigramIndex.encode(["RUE", bad])
 
 
 def test_building_ids_cannot_collide():

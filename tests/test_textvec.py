@@ -1,4 +1,4 @@
-"""Parity tests: the vectorized string kernels must return EXACTLY what
+"""Parity tests: the vectorized pair kernels must return EXACTLY what
 their scalar reference implementations return (textvec.py docstring
 contract), plus KnnRescuer behavior checks on the batched scorer."""
 
@@ -10,63 +10,67 @@ from hypothesis import strategies as st
 
 from georay.textkernels import jaro_winkler
 from georay.textvec import (codes_matrix, jaro_winkler_pairs,
-                            jaro_winkler_vec, osa_distance,
-                            osa_similarity_pairs, osa_similarity_vec)
+                            lev_similarity_pairs)
 
 ALPHA = st.text(alphabet="abcdef -", max_size=14)
 
 
-@given(st.lists(ALPHA, min_size=1, max_size=20), ALPHA)
-@settings(max_examples=200, deadline=None)
-def test_jw_vec_matches_scalar(cands, q):
-    codes, lens = codes_matrix(cands)
-    vec = jaro_winkler_vec(q, codes, lens)
-    for i, c in enumerate(cands):
-        assert vec[i] == pytest.approx(jaro_winkler(q, c), abs=1e-12)
+def _levenshtein(a: str, b: str) -> int:
+    """Scalar plain Levenshtein (no transpositions): the reference the
+    pair kernel is checked against."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j - 1] + (ca != cb), prev[j] + 1,
+                           cur[j - 1] + 1))
+        prev = cur
+    return prev[-1]
 
 
-@given(st.lists(ALPHA, min_size=1, max_size=20), ALPHA)
-@settings(max_examples=200, deadline=None)
-def test_osa_vec_matches_scalar(cands, q):
-    codes, lens = codes_matrix(cands)
-    vec = osa_similarity_vec(q, codes, lens)
-    for i, c in enumerate(cands):
-        if not q and not c:
-            ref = 1.0
-        else:
-            ref = 1.0 - osa_distance(q, c) / max(len(q), len(c))
-        assert vec[i] == pytest.approx(ref, abs=1e-12)
+def _lev_similarity(a: str, b: str) -> float:
+    if not a and not b:
+        return 0.0   # levenshtein_similarity edge rule
+    return 1.0 - _levenshtein(a, b) / max(len(a), len(b))
+
+
+def _pairs(pairs):
+    qc, ql = codes_matrix([p[0] for p in pairs])
+    cc, cl = codes_matrix([p[1] for p in pairs])
+    return qc, ql, cc, cl
 
 
 @given(st.lists(st.tuples(ALPHA, ALPHA), min_size=1, max_size=40))
 @settings(max_examples=200, deadline=None)
 def test_pair_kernels_match_scalars(pairs):
-    qs = [p[0] for p in pairs]
-    cs = [p[1] for p in pairs]
-    qc, ql = codes_matrix(qs)
-    cc, cl = codes_matrix(cs)
-    jw = jaro_winkler_pairs(qc, ql, cc, cl)
-    osa = osa_similarity_pairs(qc, ql, cc, cl)
+    jw = jaro_winkler_pairs(*_pairs(pairs))
+    lev = lev_similarity_pairs(*_pairs(pairs))
     for i, (q, c) in enumerate(pairs):
-        assert jw[i] == pytest.approx(jaro_winkler(q, c), abs=1e-12)
-        if not q and not c:
-            ref = 0.0   # levenshtein_similarity edge rule
-        else:
-            ref = 1.0 - osa_distance(q, c) / max(len(q), len(c))
-        assert osa[i] == pytest.approx(ref, abs=1e-12)
+        assert jw[i] == jaro_winkler(q, c)
+        assert lev[i] == _lev_similarity(q, c)
 
 
-def test_osa_known_values():
-    # classic OSA cases incl. adjacent transposition
-    assert osa_distance("ca", "abc") == 3   # OSA (unrestricted DL gives 2)
-    assert osa_distance("ab", "ba") == 1
-    assert osa_distance("kitten", "sitting") == 3
-    assert osa_distance("", "abc") == 3
+def test_lev_known_values():
+    cases = {("ab", "ba"): 2,           # no transpositions: two edits
+             ("ca", "abc"): 3,
+             ("kitten", "sitting"): 3,
+             ("", "abc"): 3,
+             ("abc", ""): 3,
+             ("flaw", "lawn"): 2}
+    pairs = list(cases)
+    got = lev_similarity_pairs(*_pairs(pairs))
+    for (q, c), d, sim in zip(pairs, cases.values(), got):
+        assert _levenshtein(q, c) == d
+        assert sim == 1.0 - d / max(len(q), len(c))
+    assert lev_similarity_pairs(*_pairs([("", "")]))[0] == 0.0
 
 
 def test_codes_matrix_uint8_rejects_non_ascii():
+    codes, lens = codes_matrix(["RUE", "", "ÉTÉ"])   # Latin-1 fits
+    assert codes.dtype == np.uint8 and lens.tolist() == [3, 0, 3]
+    assert codes[2].tolist() == [0xC9, ord("T"), 0xC9]
     with pytest.raises(ValueError):
-        codes_matrix(["łódź"], dtype=np.uint8)   # ł = U+0142 > 255
+        codes_matrix(["łódź"])   # ł = U+0142 > 255
 
 
 def _rescue_batch(streets, pcs):
@@ -167,10 +171,49 @@ def test_knn_rescuer_list_columns():
     assert _knn_rows(r(t.slice(0, 0))) == []
 
 
-def test_knn_rescuer_memo_full_scores_solo():
+def test_knn_rescuer_memo_full_scores_once_per_batch():
+    """Past the memo's cap, a batch's fresh keys are still scored in one
+    call, and a key on three rows is not scored again per row."""
     from georay.gazetteer import GazetteerSpec
     from georay.knn import KnnRescuer
     r = KnnRescuer(GazetteerSpec(), k=3)
     r._memo.update({("filler", str(i)): NONE for i in range(1 << 16)})
-    assert _knn_rows(r(_mixed_batch())) == [tuple(x) for x in MIXED_WANT]
+    calls = []
+    score = r._score_batch
+    r._score_batch = lambda uniq: calls.append(list(uniq)) or score(uniq)
+    for _ in range(2):
+        calls.clear()
+        assert _knn_rows(r(_mixed_batch())) == [tuple(x) for x in MIXED_WANT]
+        assert len(calls) == 1 and len(calls[0]) == 3
     assert len(r._memo) == 1 << 16
+
+
+def test_knn_rescuer_prefilter_cut_at_vote_ties():
+    """prefilter=5 cuts every bucket below: the 5th place falls inside a
+    run of names with equal trigram votes (decided by name index), and a
+    query sharing no trigram takes its bucket's first 5 names."""
+    from georay.gazetteer import GazetteerSpec
+    from georay.knn import KnnRescuer
+    r = KnnRescuer(GazetteerSpec(), k=3, prefilter=5)
+    t = pa.table({
+        "status": pa.array(["unmatched"] * 6),
+        "street_name": pa.array(["Kerkstrat", "Rue de la Gare", "Hautelan",
+                                 "Rue de Luise", "Rue", "Qqq"]),
+        "post_code": pa.array(["1000", "1000", None, "0000", "1000", "1000"],
+                              pa.string()),
+        "city_name": pa.array([""] * 6)})
+    want = [
+        ([100043, 100143, 100012], ["Genkstraat", "Genkstraat", "Garestraat"],
+         [0.7153, 0.7153, 0.6892]),
+        ([100020, 100070, 100000],
+         ["Rue de Flandre", "Rue de Flandre", "Rue de Louise"],
+         [0.7071, 0.7071, 0.6835]),
+        HAUTE,
+        LOUISE,
+        ([100030, 100000, 100040],
+         ["Rue de Uccle", "Rue de Louise", "Rue de Leuven"],
+         [0.5375, 0.5256, 0.5256]),
+        ([100000, 100001, 100002],
+         ["Rue de Louise", "Avenue Fonsny", "Royalesteenweg"],
+         [0.0, 0.0, 0.0])]
+    assert _knn_rows(r(t)) == [tuple(x) for x in want]
