@@ -154,9 +154,12 @@ def resolve_input_fields(data: dict, check_result: bool,
     return out
 
 
+# a pure rule engine, memoized through the gazetteer's parser memo
+_PARSER = AddressParser()
+
+
 def _world(spec: GazetteerSpec | None):
-    spec = spec or GazetteerSpec()
-    return get_gazetteer(spec), AddressParser()
+    return get_gazetteer(spec or GazetteerSpec()), _PARSER
 
 
 def _long_mode_cfg(cfg: PipelineConfig, mode: str) -> PipelineConfig:

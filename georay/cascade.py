@@ -20,8 +20,7 @@ still unmatched, its candidate rows are the sent rows' indices repeated
 over their candidates with columns taken from the per-place candidate
 table, and the ``RESULT_SCHEMA`` table is built once, typed, at the end
 (probe-then-gather over index arrays, as the memo hit path does).
-pandas appears only at ``process_addresses_df``'s pandas edge and in
-the adapter of a registered transformer.
+pandas appears only in the adapter of a registered transformer.
 
 Deviation from the reference (documented): ``output.other`` joins the
 leftover address values in SORTED order — the reference joins a Python
@@ -33,10 +32,8 @@ splits on " - " and takes a max, so scores are unaffected.
 from __future__ import annotations
 
 import re
-from itertools import repeat
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -55,6 +52,7 @@ from .config import (ADDR_KEY, C_SIM_CITY, C_SIM_HOUSENBR, C_SIM_POSTCODE,
                      STATUS, STREET, PipelineConfig)
 from .gazetteer import GazetteerSpec, concat_ranges, get_gazetteer
 from .geom import haversine_km
+from .memo import Memo, world_memo
 from .parser import AddressParser
 from .transforms import (AddressRows, apply_transformers,
                          assemble_full_address, factorize, first_per_group)
@@ -94,8 +92,7 @@ def _result_type(col: str) -> pa.DataType:
 
 
 # canonical Arrow schema of the cascade's result rows (RESULT_COLUMNS
-# order): the result table is built in it, and the pandas edge converts
-# through it instead of per-column type inference
+# order): the result table is built in it
 RESULT_SCHEMA = pa.schema([(c, _result_type(c)) for c in RESULT_COLUMNS])
 
 
@@ -115,13 +112,14 @@ def _coalesce(address: dict, keys: list[str]) -> str | None:
 
 def _place_columns(gazetteer) -> dict:
     """The candidate columns of every gazetteer place, derived once per
-    gazetteer from its Nominatim-shaped record (osm_parse_and_split +
-    add_addr_out_columns, utils.py:443-579).  A virtual building's
-    address is its street's plus the house number, which it picks as
-    o_housenumber, so it takes its street's other o_* columns (no
-    address value of a place is left over for o_other to hold); its
-    display name is ``bld_prefix`` + house number + ``bld_suffix``."""
-    cols = getattr(gazetteer, "_candidate_columns", None)
+    gazetteer (kept in its ``memos``) from its Nominatim-shaped record
+    (osm_parse_and_split + add_addr_out_columns, utils.py:443-579).  A
+    virtual building's address is its street's plus the house number,
+    which it picks as o_housenumber, so it takes its street's other o_*
+    columns (no address value of a place is left over for o_other to
+    hold); its display name is ``bld_prefix`` + house number +
+    ``bld_suffix``."""
+    cols = gazetteer.memos.get("candidate_columns")
     if cols is not None:
         return cols
     g = gazetteer.columns
@@ -152,7 +150,7 @@ def _place_columns(gazetteer) -> dict:
         out["bld_prefix"].append(head + ", " if head else "")
         out["bld_suffix"].append(", " + tail if tail else "")
     cols = {k: np.array(v, dtype=object) for k, v in out.items()}
-    gazetteer._candidate_columns = cols
+    gazetteer.memos["candidate_columns"] = cols
     return cols
 
 
@@ -414,30 +412,42 @@ def _transform_and_process(todo: AddressRows, transformers: list[str],
     return keep, reject
 
 
-def _extra_house_number(fields: dict, rep: np.ndarray, parser) -> dict:
+def _parse_or_none(parser, text: str):
+    try:
+        return parser.parse(text)
+    except Exception:
+        return None
+
+
+def _extra_house_number(fields: dict, rep: np.ndarray, parser,
+                        memo: Memo) -> dict:
     """libpostal house-number extraction for matched rows
     (utils.py:783-846): o_in_house_number = input housenumber,
     o_lpost_house_number / o_lpost_unit from parsing
-    'street hn, pc city'."""
+    'street hn, pc city' through the parser ``memo``."""
     hn = fields[HOUSENBR][rep]
-    out = []
-    for s, h, p, c in zip(fields[STREET][rep].tolist(), hn.tolist(),
-                          fields[POSTCODE][rep].tolist(),
-                          fields[CITY][rep].tolist()):
-        try:
-            pairs = parser.parse(f"{s} {h}, {p} {c}".strip())
-            out.append((";".join(v for v, l in pairs if l == "house_number"),
-                        ";".join(v for v, l in pairs if l == "unit")))
-        except Exception:
-            err = "error during Libpostal processing"  # utils.py:806-807
-            out.append((err, err))
+    texts = [f"{s} {h}, {p} {c}".strip()
+             for s, h, p, c in zip(fields[STREET][rep].tolist(), hn.tolist(),
+                                   fields[POSTCODE][rep].tolist(),
+                                   fields[CITY][rep].tolist())]
+    try:
+        parsed = memo.map(parser.parse, texts)
+    except Exception:
+        # a text the parser fails on labels its own row only
+        parsed = [_parse_or_none(parser, t) for t in texts]
+    err = "error during Libpostal processing"  # utils.py:806-807
+    out = [(err, err) if pairs is None else
+           (";".join(v for v, l in pairs if l == "house_number"),
+            ";".join(v for v, l in pairs if l == "unit"))
+           for pairs in parsed]
     lpost = np.array(out, dtype=object).reshape(len(out), 2)
     return {O_IN_HOUSENBR: hn, O_LPOST_HN: lpost[:, 0],
             O_LPOST_UNIT: lpost[:, 1]}
 
 
 def _result_table(fields: dict, matches: list[dict], rejects: list[dict],
-                  parser, cfg: PipelineConfig) -> tuple[pa.Table, np.ndarray]:
+                  gazetteer, parser, cfg: PipelineConfig
+                  ) -> tuple[pa.Table, np.ndarray]:
     """The ``_STORE_SCHEMA`` rows of the representatives, built once from
     typed arrays, grouped by representative in order: its match, then
     its rejects in step order, then an 'unmatched' stub when it has no
@@ -446,7 +456,9 @@ def _result_table(fields: dict, matches: list[dict], rejects: list[dict],
     n = len(fields[STREET])
     match, reject = _stack(matches), _stack(rejects)
     if cfg.with_extra_house_number and _nrows(match):
-        match.update(_extra_house_number(fields, match[_REP], parser))
+        match.update(_extra_house_number(
+            fields, match[_REP], parser,
+            world_memo(gazetteer.memos, "parser", cfg)))
     if O_LAT in reject:
         # reject → distance to that address's match (utils.py:1080-1093)
         m_lat, m_lon = np.full(n, np.nan), np.full(n, np.nan)
@@ -519,12 +531,8 @@ def _run_cascade(fields: dict[str, np.ndarray], gazetteer, parser,
         todo = todo.take(np.flatnonzero(~np.isin(todo.idx, keep[_REP])))
         if not len(todo):
             break
-    return _result_table(fields, matches, rejects, parser, cfg)
+    return _result_table(fields, matches, rejects, gazetteer, parser, cfg)
 
-
-# Most distinct address tuples one worker keeps per config; keys past
-# the cap are still computed and served batch-locally, just not kept.
-_MEMO_MAX_KEYS = 1 << 15
 
 _STORE_SCHEMA = pa.schema([f for f in RESULT_SCHEMA if f.name != ADDR_KEY])
 
@@ -539,13 +547,15 @@ class _ResultStore:
     83% repeats), so the cascade runs once per UNIQUE tuple per worker.
     Its finalized rows (``RESULT_SCHEMA`` minus addr_key) live in ONE
     Arrow table; the key ``k`` with ``s = slot[k]`` owns the rows
-    ``start[s] : start[s] + length[s]``.  A batch probes the key index in
-    one pass, then every hit is served by a single ``take`` on the table:
+    ``start[s] : start[s] + length[s]``.  A batch probes the key index
+    (a ``Memo`` of key -> slot, capped at ``cap`` keys; keys past the cap
+    are still computed and served batch-locally, just not kept) in one
+    pass, then every hit is served by a single ``take`` on the table:
     no per-row frames or per-key arrays (the probe-then-gather layout of
     vectorized hash tables, VLDB 2023)."""
 
-    def __init__(self):
-        self.slot: dict[str, int] = {}
+    def __init__(self, cap: int):
+        self.index = Memo(cap)
         self.start = np.zeros(0, np.int64)
         self.length = np.zeros(0, np.int64)
         self.table = _STORE_SCHEMA.empty_table()
@@ -556,11 +566,10 @@ class _ResultStore:
         rows are the head of ``rows``, ``counts`` rows each); returns how
         many were kept.  The table is re-combined so every probe takes
         from one contiguous chunk and never pins the caller's batch."""
-        k = max(0, min(len(keys), _MEMO_MAX_KEYS - len(self.slot)))
+        base = len(self.index)
+        k = self.index.put_many(keys, range(base, base + len(keys)))
         if k == 0:
             return 0
-        base = len(self.slot)
-        self.slot.update(zip(keys[:k], range(base, base + k)))
         ends = self.table.num_rows + np.cumsum(counts[:k])
         self.start = np.r_[self.start, ends - counts[:k]]
         self.length = np.r_[self.length, counts[:k]]
@@ -568,17 +577,6 @@ class _ResultStore:
             [self.table, rows.slice(0, int(counts[:k].sum()))]
         ).combine_chunks()
         return k
-
-
-def _result_store(gazetteer, cfg: PipelineConfig) -> _ResultStore:
-    stores = getattr(gazetteer, "_cascade_memo", None)
-    if stores is None:
-        stores = gazetteer._cascade_memo = {}
-    ckey = repr(cfg)
-    store = stores.get(ckey)
-    if store is None:
-        store = stores[ckey] = _ResultStore()
-    return store
 
 
 def _memo_keys(inputs: pa.Table) -> list[str]:
@@ -609,16 +607,12 @@ def _memo_results(inputs: pa.Table, store: _ResultStore, gazetteer, parser,
     the next batch retries it, as with the memo off."""
     n = inputs.num_rows
     keys = _memo_keys(inputs)
-    slot = np.fromiter(map(store.slot.get, keys, repeat(-1, n)), np.int64, n)
+    slot = np.array(store.index.get_many(keys, -1), np.int64)
     rep_of = np.full(n, -1, np.int64)
-    first: dict[str, int] = {}
-    rep_rows = []
-    for i in np.flatnonzero(slot < 0).tolist():
-        j = first.setdefault(keys[i], len(rep_rows))
-        if j == len(rep_rows):
-            rep_rows.append(i)
-        rep_of[i] = j
-    if rep_rows:
+    miss = np.flatnonzero(slot < 0)
+    rep_of[miss], first = factorize([keys[i] for i in miss.tolist()])
+    rep_rows = miss[first]
+    if len(rep_rows):
         local, counts = _run_cascade(
             _field_arrays(inputs.take(rep_rows)), gazetteer, parser, cfg)
         local_start = np.cumsum(counts) - counts
@@ -627,11 +621,10 @@ def _memo_results(inputs: pa.Table, store: _ResultStore, gazetteer, parser,
         if pc.any(failed).as_py():
             ok = np.setdiff1d(ok, np.repeat(ok, counts)[failed.to_numpy()])
             good = local.take(concat_ranges(local_start[ok], counts[ok]))
-        kept = store.append([keys[rep_rows[j]] for j in ok], good,
+        kept = store.append([keys[i] for i in rep_rows[ok].tolist()], good,
                             counts[ok])
         new_slot = np.full(len(counts), -1, np.int64)
-        new_slot[ok[:kept]] = len(store.slot) - kept + np.arange(kept)
-        miss = rep_of >= 0
+        new_slot[ok[:kept]] = len(store.index) - kept + np.arange(kept)
         slot[miss] = new_slot[rep_of[miss]]
 
     hit = slot >= 0
@@ -661,10 +654,10 @@ def _geocode_table(inputs: pa.Table, gazetteer, parser, cfg: PipelineConfig
     fields, non-null strings) → (``RESULT_SCHEMA`` table, input row of
     each output row).  Output rows are grouped by input row, in input
     order.  With the memo off every row is its own representative and
-    nothing is kept."""
+    the store is never probed."""
     if cfg.with_cascade_memo:
-        res, lens = _memo_results(inputs, _result_store(gazetteer, cfg),
-                                  gazetteer, parser, cfg)
+        store = world_memo(gazetteer.memos, "store", cfg, _ResultStore)
+        res, lens = _memo_results(inputs, store, gazetteer, parser, cfg)
     else:
         res, lens = _run_cascade(_field_arrays(inputs), gazetteer, parser,
                                  cfg)
@@ -675,7 +668,7 @@ def _geocode_table(inputs: pa.Table, gazetteer, parser, cfg: PipelineConfig
 
 def _as_str(col) -> pa.ChunkedArray:
     """One input column as non-null strings — the ``fillna("")
-    .astype(str)`` contract of the pandas entry point, except that
+    .astype(str)`` contract of the reference's pandas frames, except that
     integers keep their digits (pandas would make a nullable int column
     float: ``4`` → ``"4.0"``, and round values past 2^53)."""
     if (pa.types.is_string(col.type) or pa.types.is_large_string(col.type)
@@ -686,39 +679,24 @@ def _as_str(col) -> pa.ChunkedArray:
         col.to_pandas().fillna("").astype(str), pa.string())])
 
 
-def process_addresses_df(df, gazetteer, parser, cfg: PipelineConfig):
-    """Full cascade over one batch of addresses → fixed-schema rows, one
-    per match/reject plus 'unmatched' stubs (utils.py:1195-1279), grouped
-    by input row in input order.
+def process_addresses_df(tbl: pa.Table, gazetteer, parser,
+                         cfg: PipelineConfig) -> pa.Table:
+    """Full cascade over one Arrow batch of addresses → fixed-schema rows,
+    one per match/reject plus 'unmatched' stubs (utils.py:1195-1279),
+    grouped by input row in input order.
 
-    ``df`` is a pandas frame or an Arrow table; the result has the same
-    kind.  Columns other than addr_key and the five input fields pass
-    through, each output row carrying the values of its OWN input row
-    (positional re-attach: a repeated addr_key cannot cross rows)."""
+    Columns other than addr_key and the five input fields pass through,
+    each output row carrying the values of its OWN input row (positional
+    re-attach: a repeated addr_key cannot cross rows)."""
     base_cols = [ADDR_KEY] + INPUT_FIELDS
-    arrow = isinstance(df, pa.Table)
-    if arrow:
-        inputs = pa.table({c: _as_str(df[c]) for c in base_cols})
-        extra = [c for c in df.column_names if c not in base_cols]
-    else:
-        inputs = pa.table({c: pa.array(_str_values(df[c]), pa.string())
-                           for c in base_cols})
-        extra = [c for c in df.columns if c not in base_cols]
+    inputs = pa.table({c: _as_str(tbl[c]) for c in base_cols})
     res, src = _geocode_table(inputs, gazetteer, parser, cfg)
-    if arrow:
-        if not extra:
-            return res
-        passthrough = df.select(extra).take(src)
+    extra = [c for c in tbl.column_names if c not in base_cols]
+    if extra:
+        passthrough = tbl.select(extra).take(src)
         for f, col in zip(passthrough.schema, passthrough.columns):
             res = res.append_column(f, col)
-        return res
-    # small frames: Arrow's thread-pool hand-offs (a context switch per
-    # column block) cost more than the conversion itself
-    out = res.to_pandas(use_threads=False)
-    if extra:
-        out = pd.concat([out, df[extra].iloc[src].reset_index(drop=True)],
-                        axis=1)
-    return out
+    return res
 
 
 class CascadeGeocoder:
@@ -733,11 +711,10 @@ class CascadeGeocoder:
         self.cfg = cfg or PipelineConfig()
         self.gazetteer = get_gazetteer(self.spec)
         self.parser = AddressParser()
-        self.parser.memo_enabled = self.cfg.with_worker_memos
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        """Arrow in, Arrow out: only representative rows of memo misses
-        enter pandas; passthrough columns follow their input row."""
+        """Arrow in, Arrow out; passthrough columns follow their input
+        row."""
         return process_addresses_df(batch, self.gazetteer, self.parser,
                                     self.cfg)
 
@@ -767,25 +744,24 @@ def worker_component(key, build):
 
 def _worker_cascade(cls, spec: GazetteerSpec | None,
                     cfg: PipelineConfig | None):
-    """A no-argument getter of this worker process's ``cls(spec, cfg)``."""
+    """A batch fn calling this worker process's ``cls(spec, cfg)``."""
     spec = spec or GazetteerSpec()
     cfg = cfg or PipelineConfig()
     key = (cls.__name__, spec, repr(cfg))
-    return lambda: worker_component(key, lambda: cls(spec=spec, cfg=cfg))
+    return lambda batch: worker_component(
+        key, lambda: cls(spec=spec, cfg=cfg))(batch)
 
 
 def span_cascade_fn(spec: GazetteerSpec | None = None,
                     cfg: PipelineConfig | None = None):
     """Picklable stateless-task batch fn for the document-span cascade."""
-    get_worker = _worker_cascade(SpanCascadeGeocoder, spec, cfg)
-    return lambda batch: get_worker()(batch)
+    return _worker_cascade(SpanCascadeGeocoder, spec, cfg)
 
 
 def address_cascade_fn(spec: GazetteerSpec | None = None,
                        cfg: PipelineConfig | None = None):
     """Picklable stateless-task batch fn for the flat-address cascade."""
-    get_worker = _worker_cascade(CascadeGeocoder, spec, cfg)
-    return lambda batch: get_worker()(batch)
+    return _worker_cascade(CascadeGeocoder, spec, cfg)
 
 
 class SpanCascadeGeocoder(CascadeGeocoder):

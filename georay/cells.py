@@ -4,7 +4,7 @@ sandbox — SURVEY.md §7, "H3 from scratch" fallback design):
 - ``hex_cell``  — an H3-style hexagonal tiling: pointy-top hexes in axial
   coordinates over (lon, lat) degree space, aperture-2 resolution ladder
   (edge halves per res).  Res 9 edge ≈ 0.0039° ≈ 430 m, i.e. an H3-res-9
-  *equivalent* tile id with the H3 API surface (cell, parent, center).
+  *equivalent* tile id with the H3 API surface (cell, center).
   True icosahedral H3 math is out of scope; self-consistency is
   cross-checked against the independent quadtree path below.
 - ``quad_cell`` — an S2-style quadtree cell id: bit-interleaved (x, y) at a
@@ -81,14 +81,6 @@ def hex_cell_center(cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lat = 1.5 * ir * s
     lon = _SQRT3 * (iq + ir / 2.0) * s
     return lat, lon
-
-
-def hex_parent(cell: np.ndarray, parent_res: int) -> np.ndarray:
-    """Approximate parent: re-index the cell center at a coarser res.
-    Aperture-2 hexes do not nest exactly (documented limitation; the
-    quadtree path provides exact containment when needed)."""
-    lat, lon = hex_cell_center(cell)
-    return hex_cell(lat, lon, parent_res)
 
 
 def quad_xy(lat, lon, level: int = 18) -> tuple[np.ndarray, np.ndarray]:
@@ -293,11 +285,3 @@ def hilbert_to_xy(d: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
         t //= 4
         s <<= np.int64(1)
     return x, y
-
-
-def hilbert_cell(lat, lon, order: int = 13) -> np.ndarray:
-    """Hilbert locality index of a point: equirectangular grid coords at
-    ``order`` (reusing ``quad_xy``) -> curve distance.  order=13 gives
-    ~4.9 km cells at the equator; d fits int64 for any order <= 31."""
-    x, y = quad_xy(lat, lon, order)
-    return hilbert_from_xy(x, y, order)

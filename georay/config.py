@@ -158,20 +158,18 @@ class PipelineConfig:
     with_candidate_json: bool = False  # long-mode full-fidelity tail:
                                        # raw shaped candidate as JSON
                                        # (SURVEY §1.4 candidate_json)
-    with_cascade_memo: bool = True     # per-worker full-cascade result
-                                       # memo keyed on the 5 input
-                                       # fields (cascade.py rationale)
-    with_worker_memos: bool = True     # per-ADDRESS component memos
-                                       # (photon candidates, free-text
-                                       # parse and parser caches; the
-                                       # gazetteer itself is batched
-                                       # and keeps none).  Off = every
-                                       # row pays the full probe: used
-                                       # by the cache-neutral scaling
-                                       # ladder, where per-worker hit
-                                       # rates depend on each worker's
-                                       # SHARE of a toy corpus and bias
-                                       # the N-vs-4N comparison.
+    # Per-worker memo switches (``georay.memo``; off = cap 0, outputs
+    # unchanged).  with_cascade_memo: the cascade's result store (rows per
+    # distinct five-field tuple and config); off, every row pays the whole
+    # cascade.  with_worker_memos: the photon (candidates per free-text
+    # query), parser (AddressParser.parse per text) and kNN rescue (top-k
+    # per street and postcode prefix) memos, and the parse_free_text cache
+    # choice; off, every row pays the full probe (the cache-neutral
+    # scaling ladder, where per-worker hit rates depend on each worker's
+    # share of a toy corpus).  Pure-function caches stay on in both modes:
+    # the lru_caches in compare.py and textkernels.py, and clean_addr_in.
+    with_cascade_memo: bool = True
+    with_worker_memos: bool = True
     with_rejected: bool = True     # REST default is false for batch
                                    # (nominatimwrapper withRejected);
                                    # True keeps full reject rows

@@ -181,12 +181,12 @@ def q_geo_tile_rollup(sf_dir: str):
     return rollup_counts(q_geo_tile_assign(sf_dir), "square_cell")
 
 
-def _street_points(sf_dir: str):
-    """The synthetic gazetteer's rank-26 street points (place_id, lat,
-    lon, place_rank)."""
+def _street_points(sf_dir: str, columns=("place_id", "lat", "lon")):
+    """The synthetic gazetteer's rank-26 street rows: ``columns``, then
+    place_rank."""
     ds = ray.data.read_parquet(
         os.path.join(ensure_synth(sf_dir), "gazetteer.parquet"),
-        columns=["place_id", "lat", "lon", "place_rank"])
+        columns=[*columns, "place_rank"])
     return ds.map_batches(
         lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
         batch_format="pyarrow")
@@ -815,12 +815,7 @@ def q_geo_zone_join(sf_dir: str):
         return pa.table({"place_id": batch["place_id"],
                          "zone": pa.array(z)})
 
-    ds = ray.data.read_parquet(
-        os.path.join(d, "gazetteer.parquet"),
-        columns=["place_id", "lat", "lon", "place_rank"])
-    streets = ds.map_batches(
-        lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-        batch_format="pyarrow")
+    streets = _street_points(sf_dir, ["place_id", "lat", "lon"])
     return streets.map_batches(assign, batch_format="pyarrow")
 
 
@@ -925,12 +920,7 @@ def q_geo_path_length(sf_dir: str):
     from .geom import haversine_km
     from .shuffle import grouped_map
     d = ensure_synth(sf_dir)
-    ds = ray.data.read_parquet(
-        os.path.join(d, "gazetteer.parquet"),
-        columns=["post_code", "place_id", "lat", "lon", "place_rank"])
-    streets = ds.map_batches(
-        lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-        batch_format="pyarrow")
+    streets = _street_points(sf_dir, ["post_code", "place_id", "lat", "lon"])
 
     out_schema = pa.schema([("post_code", pa.string()),
                             ("n_segments", pa.int64()),
@@ -970,13 +960,7 @@ def q_geo_path_bearing(sf_dir: str):
     shape as path_length: ONE co-partitioned shuffle, in-partition
     sort, vectorized trig with group-boundary masking."""
     from .shuffle import grouped_map
-    d = ensure_synth(sf_dir)
-    ds = ray.data.read_parquet(
-        os.path.join(d, "gazetteer.parquet"),
-        columns=["post_code", "place_id", "lat", "lon", "place_rank"])
-    streets = ds.map_batches(
-        lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-        batch_format="pyarrow")
+    streets = _street_points(sf_dir, ["post_code", "place_id", "lat", "lon"])
 
     out_schema = pa.schema([("post_code", pa.string()),
                             ("n_legs", pa.int64()),
@@ -1061,12 +1045,7 @@ def q_geo_od_flows(sf_dir: str):
     from .cells import square_cell
     from .shuffle import grouped_map
     d = ensure_synth(sf_dir)
-    ds = ray.data.read_parquet(
-        os.path.join(d, "gazetteer.parquet"),
-        columns=["post_code", "place_id", "lat", "lon", "place_rank"])
-    streets = ds.map_batches(
-        lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-        batch_format="pyarrow")
+    streets = _street_points(sf_dir, ["post_code", "place_id", "lat", "lon"])
     pitch = 0.2
 
     out_schema = pa.schema([("o_cell", pa.int64()), ("d_cell", pa.int64()),
@@ -1155,13 +1134,7 @@ def q_geo_self_crossings(sf_dir: str):
     pair test is per-key vectorized work bounded by trajectory length,
     never corpus size."""
     from .shuffle import grouped_map
-    d = ensure_synth(sf_dir)
-    ds = ray.data.read_parquet(
-        os.path.join(d, "gazetteer.parquet"),
-        columns=["post_code", "place_id", "lat", "lon", "place_rank"])
-    streets = ds.map_batches(
-        lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-        batch_format="pyarrow")
+    streets = _street_points(sf_dir, ["post_code", "place_id", "lat", "lon"])
 
     out_schema = pa.schema([("post_code", pa.string()),
                             ("seg_a", pa.int64()), ("seg_b", pa.int64())])
@@ -1217,13 +1190,7 @@ def q_geo_snap_to_segment(sf_dir: str):
     per-key work is a vectorized (points × legs) distance matrix
     bounded by trajectory length."""
     from .shuffle import grouped_map
-    d = ensure_synth(sf_dir)
-    ds = ray.data.read_parquet(
-        os.path.join(d, "gazetteer.parquet"),
-        columns=["post_code", "place_id", "lat", "lon", "place_rank"])
-    streets = ds.map_batches(
-        lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-        batch_format="pyarrow")
+    streets = _street_points(sf_dir, ["post_code", "place_id", "lat", "lon"])
 
     out_schema = pa.schema([("place_id", pa.int64()),
                             ("seg_id", pa.int64()),
@@ -1284,13 +1251,7 @@ def q_geo_street_moments(sf_dir: str):
     int64), then exact integer sums.  ONE co-partitioned shuffle; the
     output is one row per key."""
     from .shuffle import grouped_map
-    d = ensure_synth(sf_dir)
-    ds = ray.data.read_parquet(
-        os.path.join(d, "gazetteer.parquet"),
-        columns=["post_code", "lat", "lon", "place_rank"])
-    streets = ds.map_batches(
-        lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-        batch_format="pyarrow")
+    streets = _street_points(sf_dir, ["post_code", "lat", "lon"])
 
     out_schema = pa.schema([("post_code", pa.string()),
                             ("n", pa.int64()),
@@ -1394,12 +1355,7 @@ def q_geo_boundary_margin(sf_dir: str):
         return pa.table({"place_id": pa.array(np.concatenate(out_pid)),
                          "margin_udeg": pa.array(np.concatenate(out_m))})
 
-    ds = ray.data.read_parquet(
-        os.path.join(d, "gazetteer.parquet"),
-        columns=["place_id", "post_code", "lat", "lon", "place_rank"])
-    streets = ds.map_batches(
-        lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-        batch_format="pyarrow")
+    streets = _street_points(sf_dir, ["place_id", "post_code", "lat", "lon"])
     return streets.map_batches(margin, batch_format="pyarrow")
 
 
@@ -1746,13 +1702,8 @@ def q_geo_path_simplify(sf_dir: str):
     keep/drop anywhere in the recursion hash-mismatches."""
     from .geom import dp_simplify
     from .shuffle import grouped_map
-    d = ensure_synth(sf_dir)
-    ds = ray.data.read_parquet(
-        os.path.join(d, "gazetteer.parquet"),
-        columns=["post_code", "place_id", "lat", "lon", "place_rank"])
-    streets = ds.map_batches(
-        lambda b: b.filter(pa.compute.equal(b["place_rank"], 26)),
-        batch_format="pyarrow").drop_columns(["place_rank"])
+    streets = _street_points(sf_dir, ["post_code", "place_id", "lat", "lon"]
+                             ).drop_columns(["place_rank"])
     schema = pa.schema([("post_code", pa.string()),
                         ("place_id", pa.int64())])
 
@@ -3780,10 +3731,15 @@ def q_rel_grouping_sets(sf_dir: str):
 # ---------------------------------------------------------------------------
 # document / embedding ops (testdata tables)
 
+def _doc_texts(sf_dir: str) -> "ray.data.Dataset":
+    """The (doc_id, text) columns of the documents table."""
+    return ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
+                                 columns=["doc_id", "text"])
+
+
 def q_doc_dedup_exact(sf_dir: str):
     from .ops.dedup import exact_duplicates
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     pdf = exact_duplicates(ds).to_pandas()
     if pdf.empty:
         return pa.table({"doc_id": pa.array([], pa.int64()),
@@ -3794,8 +3750,7 @@ def q_doc_dedup_exact(sf_dir: str):
 
 def q_doc_token_stats(sf_dir: str):
     from .ops.text import token_stats
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     out = ds.map_batches(token_stats, batch_format="pyarrow")
 
     def punct(batch: pa.Table) -> pa.Table:
@@ -3812,16 +3767,14 @@ def q_doc_token_stats(sf_dir: str):
 
 def q_doc_quality(sf_dir: str):
     from .ops.text import quality_score
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     out = ds.map_batches(quality_score, batch_format="pyarrow")
     return out.select_columns(["doc_id", "quality"])
 
 
 def q_doc_langid(sf_dir: str):
     from .ops.text import LangId
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     out = ds.map_batches(LangId, batch_format="pyarrow", concurrency=2)
     # conf in integer basis points: both sides compute the same double
     # division then floor, so the value hash is rounding-mode-proof
@@ -3830,8 +3783,7 @@ def q_doc_langid(sf_dir: str):
 
 def q_doc_fingerprint(sf_dir: str):
     from .ops.text import rolling_fingerprint
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     out = ds.map_batches(rolling_fingerprint, batch_format="pyarrow")
     return out.select_columns(["doc_id", "fingerprint"])
 
@@ -3842,8 +3794,7 @@ def q_doc_vocab_topk(sf_dir: str, k: int = 50):
     merge; ties at the cut resolved by (n desc, token asc) on both
     sides so the hash compare is deterministic."""
     from .ops.text import vocab_topk
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     return vocab_topk(ds, k=k)
 
 
@@ -3853,8 +3804,7 @@ def q_doc_hll_registers(sf_dir: str):
     deterministic given the md5_number_upper hash, so DuckDB recomputes
     every (bucket, max rho) row bit-for-bit."""
     from .ops.sketch import hll_registers
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     return hll_registers(ds, p=10)
 
 
@@ -3866,8 +3816,7 @@ def q_doc_cms_registers(sf_dir: str):
     a token = md5_number_upper(r || '|' || token) % width on both
     sides)."""
     from .ops.sketch import cms_registers
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     return cms_registers(ds, depth=4, width=512)
 
 
@@ -3877,8 +3826,7 @@ def q_doc_bloom_bits(sf_dir: str):
     positions themselves are compared (md5_number_upper hash convention
     shared with CMS), merged by one bounded distinct."""
     from .ops.sketch import bloom_bits
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     return bloom_bits(ds, n_hashes=3, m_bits=4096)
 
 
@@ -3955,8 +3903,7 @@ def q_doc_sample_per_lang(sf_dir: str, k: int = 5):
 
 def q_doc_minhash_pairs(sf_dir: str):
     from .ops.dedup import minhash_lsh_pairs
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     pdf = minhash_lsh_pairs(ds, threshold=0.5).to_pandas()
     if pdf.empty:
         return pa.table({"id_a": pa.array([], pa.int64()),
@@ -3972,8 +3919,7 @@ def q_doc_dup_clusters(sf_dir: str):
     SQL-recomputed pair list, so a missed edge, an extra edge, or an
     under-propagated label all hash-mismatch."""
     from .ops.dedup import connected_components, minhash_lsh_pairs
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     pairs = minhash_lsh_pairs(ds, threshold=0.5)
     comp = connected_components(pairs).to_pandas()
     if comp.empty:
@@ -3992,8 +3938,7 @@ def q_doc_dedup_near(sf_dir: str):
     closure's non-canonical nodes."""
     from .ops.dedup import (connected_components, keep_canonical,
                             minhash_lsh_pairs)
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     pairs = minhash_lsh_pairs(ds, threshold=0.5)
     comp = connected_components(pairs)
     kept = keep_canonical(ds, comp).select_columns(["doc_id"])
@@ -4002,8 +3947,7 @@ def q_doc_dedup_near(sf_dir: str):
 
 def q_doc_simhash_pairs(sf_dir: str):
     from .ops.dedup import simhash_pairs
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     pdf = simhash_pairs(ds, max_hamming=3).to_pandas()
     if pdf.empty:
         return pa.table({"id_a": pa.array([], pa.int64()),
@@ -4026,8 +3970,7 @@ def q_doc_curation(sf_dir: str):
 
     from .ops.text import LangId, content_md5, quality_score, token_stats
     from .shuffle import grouped_map
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
 
     def annotate(batch: pa.Table) -> pa.Table:
         batch = content_md5(batch)
@@ -4073,8 +4016,7 @@ def q_doc_curation(sf_dir: str):
 
 def q_doc_ngram_jaccard(sf_dir: str):
     from .ops.dedup import ngram_jaccard_pairs
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     pdf = ngram_jaccard_pairs(ds, threshold=0.6).to_pandas()
     if pdf.empty:
         return pa.table({"id_a": pa.array([], pa.int64()),
@@ -4087,8 +4029,7 @@ def q_doc_repetition(sf_dir: str):
     duplicate-bigram share, integer basis points) — embarrassingly
     parallel per-document map, no shuffle at any scale."""
     from .ops.curation import repetition_signals
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     out = ds.map_batches(repetition_signals, batch_format="pyarrow")
     return out.select_columns(["doc_id", "top_bigram_bp", "dup_bigram_bp"])
 
@@ -4103,8 +4044,7 @@ def q_doc_decontaminate(sf_dir: str, n: int = 4):
     import ray
 
     from .ops.curation import benchmark_gram_hashes, decontaminate
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
 
     def bench_only(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
@@ -4124,8 +4064,7 @@ def q_doc_pii_scrub(sf_dir: str):
     import hashlib as _hl
 
     from .ops.curation import pii_scrub
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
 
     def augment(batch: pa.Table) -> pa.Table:
         aug = []
@@ -4160,8 +4099,7 @@ def q_doc_chunk(sf_dir: str):
     """Sliding-window chunking (64-token windows, stride 48): stateless
     flat map, chunk content verified via md5 of the rejoined window."""
     from .ops.curation import chunk_documents
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     return ds.map_batches(chunk_documents, batch_format="pyarrow")
 
 
@@ -4172,8 +4110,7 @@ def q_doc_tfidf_top(sf_dir: str):
     import ray
 
     from .ops.text import doc_frequencies, tfidf_top_terms
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     df_pdf = doc_frequencies(ds).to_pandas()
     dfs = dict(zip(df_pdf["token"], df_pdf["sum(df)"].astype(int)))
     ref = ray.put(dfs)
@@ -4191,8 +4128,7 @@ def q_doc_importance_sample(sf_dir: str):
     same hex-parsed md5 coin."""
     from .ops.sample import hash_weighted_keep
     from .ops.text import token_stats
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
 
     def add_qbp(batch: pa.Table) -> pa.Table:
         n = batch["n_tokens"].to_numpy(zero_copy_only=False)
@@ -4222,8 +4158,7 @@ def q_doc_bpe_merges(sf_dir: str):
     merge round's statistic (ops/text.bigram_topk): map-side pair
     combine, vocabulary-sized shuffle, partial-top-k driver merge."""
     from .ops.text import bigram_topk
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     return bigram_topk(ds, k=30)
 
 
@@ -4234,8 +4169,7 @@ def q_doc_familiarity(sf_dir: str):
     import ray
 
     from .ops.text import corpus_token_counts, unigram_familiarity
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     cnt_pdf = corpus_token_counts(ds).to_pandas()
     counts = dict(zip(cnt_pdf["token"], cnt_pdf["sum(n)"].astype(int)))
     ref = ray.put(counts)
@@ -4247,8 +4181,7 @@ def q_doc_dup_spans(sf_dir: str):
     distinct documents, via map-side per-doc combine + ONE gram-hash
     shuffle (sampled-anchor knob documented for the 100 TB path)."""
     from .ops.dedup import duplicate_spans
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
+    ds = _doc_texts(sf_dir)
     pdf = duplicate_spans(ds, n=16).to_pandas()
     if pdf.empty:   # all-empty grouped result loses its schema
         return pa.table({"gram_md5": pa.array([], pa.string()),

@@ -418,6 +418,10 @@ class Gazetteer:
             self._city_by_pc[cols["post_code"][r]] = r
             self._city_by_name[normalize_street(cols["post_name"][r])] = r
 
+        # this world's memos (``memo.world_memo``) and data derived on
+        # first use: they die with it, so a rebuilt world starts empty
+        self.memos: dict = {}
+
     # -- record views ------------------------------------------------------
     def _names(self, row: int) -> dict[str, str]:
         c = self.columns
@@ -683,18 +687,17 @@ class Gazetteer:
         return [self.result(r, h, namedetails)
                 for r, h in zip(rows.tolist(), hns.tolist())]
 
-    def search(self, q: str, limit: int = 50, namedetails: bool = False,
-               use_cache: bool = True) -> list[dict]:
+    def search(self, q: str, limit: int = 50,
+               namedetails: bool = False) -> list[dict]:
         """Candidate records of one free-text query (``search.php?q=``,
         base.py:74-112)."""
-        return self.search_structured(*self.parse_parts(q, use_cache),
-                                      limit=limit, namedetails=namedetails)
+        return self.search_structured(*self.parse_parts(q), limit=limit,
+                                      namedetails=namedetails)
 
-    def fuzzy(self, q: str, limit: int = 20,
-              use_cache: bool = True) -> dict:
+    def fuzzy(self, q: str, limit: int = 20) -> dict:
         """Photon analogue: GeoJSON-ish FeatureCollection with properties
         street/postcode/city/country/name, in ``fuzzy_many`` order."""
-        _, rows = self.fuzzy_many([q], limit, use_cache)
+        _, rows = self.fuzzy_many([q], limit)
         c = self.columns
         features = [{
             "type": "Feature",

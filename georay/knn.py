@@ -24,6 +24,7 @@ import pyarrow as pa
 
 from .config import CITY, POSTCODE, STATUS, STREET
 from .gazetteer import GazetteerSpec, TrigramIndex, get_gazetteer
+from .memo import CAPS, Memo
 from .textkernels import normalize_street
 
 
@@ -54,10 +55,14 @@ class KnnRescuer:
     built as offset list columns: one int32 length per row plus flat
     values for the unmatched rows only, so matched rows make no Python
     object.  A row without suggestions holds an empty list, never a
-    null."""
+    null.
+
+    ``memo`` keeps the top-k per (street, pc-prefix) across batches (real
+    corpora repeat unmatched addresses); by default capped at
+    ``CAPS["knn"]`` keys."""
 
     def __init__(self, spec: GazetteerSpec | None = None, k: int = 3,
-                 prefilter: int = 100):
+                 prefilter: int = 100, memo: Memo | None = None):
         from .textvec import codes_matrix
         self.k = k
         self.prefilter = prefilter
@@ -78,9 +83,7 @@ class KnnRescuer:
         # trigram candidate pre-filter, so a bucket miss never
         # degenerates into a full-gazetteer scan
         self._trigram_index = TrigramIndex([(nm,) for nm in self.names])
-        # bounded per-worker memo: top-k per (street, pc-prefix) — real
-        # corpora repeat the same unmatched address across batches
-        self._memo: dict = {}
+        self.memo = Memo(CAPS["knn"]) if memo is None else memo
 
     def _candidates(self, qnorms: list[str], pc2s: list[str]
                     ) -> list[np.ndarray]:
@@ -180,12 +183,13 @@ class KnnRescuer:
             streets = batch[STREET].take(idx).to_numpy(zero_copy_only=False)
             pcs = batch[POSTCODE].take(idx).to_numpy(zero_copy_only=False)
             keys = [(st, str(pc)[:2]) for st, pc in zip(streets, pcs)]
-            got = {kk: self._memo.get(kk) for kk in dict.fromkeys(keys)}
+            uniq = list(dict.fromkeys(keys))
+            got = dict(zip(uniq, self.memo.get_many(uniq)))
             fresh = [kk for kk, hit in got.items() if hit is None]
             if fresh:
-                got.update(zip(fresh, self._score_batch(fresh)))
-                room = max(0, (1 << 16) - len(self._memo))
-                self._memo.update((kk, got[kk]) for kk in fresh[:room])
+                scored = self._score_batch(fresh)
+                got.update(zip(fresh, scored))
+                self.memo.put_many(fresh, scored)
             # todo is ascending, so the flat values come out in row order
             for kk, loc in zip(keys, todo):
                 hit = got[kk]

@@ -32,28 +32,14 @@ class AddressParser:
     """Stateless-by-construction but instantiated once per actor to mirror
     the model-loading pattern (SURVEY.md §2.3).
 
-    ``parse`` memoizes per instance: address strings are Zipf-skewed
-    across batches, so steady-state parsing is one dict hit (callers
-    must not mutate the returned list — all engine callers only read)."""
+    A pure rule engine: the cascade memoizes ``parse`` through its
+    world's parser memo (``memo.world_memo``), so callers must not mutate
+    a returned list."""
 
     def parse(self, text: str | None) -> list[tuple[str, str]]:
         """Return [(value, label)] pairs, lowercased values like libpostal."""
         if not text:
             return []
-        if not getattr(self, "memo_enabled", True):
-            return self._parse_uncached(str(text))
-        memo = getattr(self, "_memo", None)
-        if memo is None:
-            memo = self._memo = {}
-        hit = memo.get(text)
-        if hit is not None:
-            return hit
-        out = self._parse_uncached(str(text))
-        if len(memo) < (1 << 17):
-            memo[text] = out
-        return out
-
-    def _parse_uncached(self, text: str) -> list[tuple[str, str]]:
         pairs: list[tuple[str, str]] = []
         segs = [s.strip() for s in str(text).split(",")]
         street_toks: list[str] = []

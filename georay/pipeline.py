@@ -8,7 +8,7 @@ first, §3.1):
                                                    # (unless Ray splits it):
            explode_spans                           #   Arrow explode
            -> SpanCascadeGeocoder                  #   whole cascade
-           -> SpanAnnotator                        #   cells + PIP + kNN
+           -> annotator_fn                         #   cells + PIP + kNN
       -> write_parquet / groupby rollups / reassemble
 
 Components are built once per worker process (``cascade.worker_component``).
@@ -29,26 +29,9 @@ from .config import PipelineConfig
 from .corpus import make_documents
 from .gazetteer import GazetteerSpec
 from .knn import KnnRescuer
+from .memo import CAPS, Memo
 from .spans import explode_spans, reassemble_partition
 from .tiles import TileAnnotator
-
-
-class SpanAnnotator:
-    """Fused light-annotation stage: tile assignment + PIP validation +
-    kNN rescue in one Arrow pass."""
-
-    def __init__(self, spec=None, hex_res: int = 9, quad_level: int = 18,
-                 with_tiles: bool = True, with_knn: bool = True):
-        self.tiles = TileAnnotator(spec=spec, hex_res=hex_res,
-                                   quad_level=quad_level) if with_tiles else None
-        self.knn = KnnRescuer(spec=spec) if with_knn else None
-
-    def __call__(self, batch):
-        if self.tiles is not None:
-            batch = self.tiles(batch)
-        if self.knn is not None:
-            batch = self.knn(batch)
-        return batch
 
 
 def synth_documents_dataset(n_docs: int, spec: GazetteerSpec | None = None,
@@ -62,15 +45,25 @@ def synth_documents_dataset(n_docs: int, spec: GazetteerSpec | None = None,
 
 
 def annotator_fn(spec=None, hex_res: int = 9, quad_level: int = 18,
-                 with_tiles: bool = True, with_knn: bool = True):
-    """Picklable stateless-task batch fn for the fused annotator, built
-    once per worker process (``cascade.worker_component``)."""
-    key = ("annotator", spec, hex_res, quad_level, with_tiles, with_knn)
+                 with_tiles: bool = True, with_knn: bool = True,
+                 memos: bool = True):
+    """Picklable stateless-task batch fn for the fused light annotation —
+    tile assignment + PIP validation, then kNN rescue, in one Arrow pass —
+    built once per worker process (``cascade.worker_component``).
+    ``memos`` switches the kNN memo (the config's ``with_worker_memos``):
+    off, its cap is 0."""
+    key = ("annotator", spec, hex_res, quad_level, with_tiles, with_knn,
+           memos)
+
+    def build():
+        return _chain(
+            TileAnnotator(spec=spec, hex_res=hex_res, quad_level=quad_level)
+            if with_tiles else None,
+            KnnRescuer(spec=spec, memo=Memo(CAPS["knn"] if memos else 0))
+            if with_knn else None)
 
     def fn(batch):
-        return worker_component(key, lambda: SpanAnnotator(
-            spec=spec, hex_res=hex_res, quad_level=quad_level,
-            with_tiles=with_tiles, with_knn=with_knn))(batch)
+        return worker_component(key, build)(batch)
 
     return fn
 
@@ -163,18 +156,34 @@ def geocode_documents(docs: "ray.data.Dataset",
     that Ray splits (more read tasks than files, e.g. one file on 8
     CPUs) cannot be fused; there Ray bundles its small blocks into calls
     of ``batch_size`` docs, as an unfused map always did."""
+    return capped_map(docs, documents_fn(spec, cfg, with_knn_rescue,
+                                         with_tiles), batch_size)
+
+
+def documents_fn(spec: GazetteerSpec | None = None,
+                 cfg: PipelineConfig | None = None,
+                 with_knn_rescue: bool = True, with_tiles: bool = True):
+    """The batch fn of ``geocode_documents``: explode -> cascade ->
+    annotate, its components built once per worker process; ``cfg``
+    alone switches their memos, the annotator's kNN memo included."""
     spec = spec or GazetteerSpec()
     cfg = cfg or PipelineConfig()
-    casc = span_cascade_fn(spec, cfg)
-    ann = (annotator_fn(spec, cfg.hex_res, cfg.quad_level,
-                        with_tiles, with_knn_rescue)
+    ann = (annotator_fn(spec, cfg.hex_res, cfg.quad_level, with_tiles,
+                        with_knn_rescue, cfg.with_worker_memos)
            if (with_tiles or with_knn_rescue) else None)
+    return _chain(explode_spans, span_cascade_fn(spec, cfg), ann)
+
+
+def _chain(*fns):
+    """One batch fn applying ``fns`` in order, None skipped."""
+    fns = [f for f in fns if f is not None]
 
     def whole(batch):
-        out = casc(explode_spans(batch))
-        return ann(out) if ann is not None else out
+        for f in fns:
+            batch = f(batch)
+        return batch
 
-    return capped_map(docs, whole, batch_size)
+    return whole
 
 
 def geocode_addresses(addrs: "ray.data.Dataset",
@@ -189,15 +198,10 @@ def geocode_addresses(addrs: "ray.data.Dataset",
     unless Ray splits the read."""
     spec = spec or GazetteerSpec()
     cfg = cfg or PipelineConfig()
-    casc = address_cascade_fn(spec, cfg)
     ann = (annotator_fn(spec, cfg.hex_res, cfg.quad_level, True, False)
            if with_tiles else None)
-
-    def whole(batch):
-        out = casc(batch)
-        return ann(out) if ann is not None else out
-
-    return capped_map(addrs, whole, batch_size)
+    return capped_map(addrs, _chain(address_cascade_fn(spec, cfg), ann),
+                      batch_size)
 
 
 def step_stats(results: "ray.data.Dataset",

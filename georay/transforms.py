@@ -28,7 +28,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 import pandas as pd
@@ -37,6 +36,7 @@ from .compare import _str_values, keep_bests
 from .config import (ADDR_KEY, CITY, COUNTRY, HOUSENBR, INPUT_FIELDS,
                      POSTCODE, STREET, PipelineConfig)
 from .gazetteer import concat_ranges
+from .memo import world_memo
 
 _TRANSFORMER_RE = re.compile(r"regex\[([a-z]+)\]")
 
@@ -129,33 +129,34 @@ def assemble_full_address(fields: dict[str, np.ndarray]) -> np.ndarray:
 _LP_LABELS = ("road", "house_number", "postcode", "city", "country")
 
 
-def libpostal_transformer(rows: AddressRows, parser, check_results: bool,
-                          threshold: float) -> AddressRows:
-    """Parse 'street, hn, pc city,  country' per row; last value wins per
-    label (transformers.py:287); optional validation against the input
-    (transformers.py:293-304)."""
+def libpostal_transformer(rows: AddressRows, parser, gazetteer,
+                          cfg: PipelineConfig) -> AddressRows:
+    """Parse 'street, hn, pc city,  country' per row through the world's
+    parser memo; last value wins per label (transformers.py:287);
+    optional validation against the input (transformers.py:293-304)."""
     f = rows.fields
+    texts = [f"{s}, {h}, {p} {c},  {k}"
+             for s, h, p, c, k in zip(*(f[x] for x in INPUT_FIELDS))]
+    memo = world_memo(gazetteer.memos, "parser", cfg)
     parsed = []
-    for s, h, p, c, k in zip(*(f[x] for x in INPUT_FIELDS)):
-        last = {label: value for value, label
-                in parser.parse(f"{s}, {h}, {p} {c},  {k}")}
+    for pairs in memo.map(parser.parse, texts):
+        last = {label: value for value, label in pairs}
         parsed.append([last.get(label, "") for label in _LP_LABELS])
     parsed = np.array(parsed, dtype=object).reshape(len(rows), 5)
     lp = {f: parsed[:, i] for i, f in enumerate(INPUT_FIELDS)}
     keep = slice(None)
-    if check_results:
+    if cfg.check_results:
         # secondary key constant per representative (the reference's
         # addr_key): ties keep row order
         keep, _, _, _ = keep_bests(
             rows.idx, [(STREET, f[STREET])], f[HOUSENBR], f[POSTCODE],
             f[CITY], lp[STREET], lp[HOUSENBR], lp[POSTCODE], lp[CITY],
-            rows.idx, threshold=threshold)
+            rows.idx, threshold=cfg.similarity_threshold)
     return AddressRows(rows.idx[keep], {x: v[keep] for x, v in lp.items()})
 
 
-def photon_transformer(rows: AddressRows, gazetteer, check_results: bool,
-                       threshold: float, use_memo: bool = True
-                       ) -> AddressRows:
+def photon_transformer(rows: AddressRows, gazetteer,
+                       cfg: PipelineConfig) -> AddressRows:
     """Fuzzy-index rewrite of the street/city/postcode fields, keeping the
     INPUT house number (transformers.py:233).  Dedupes the query string
     before hitting the index (transformers.py:160)."""
@@ -164,21 +165,20 @@ def photon_transformer(rows: AddressRows, gazetteer, check_results: bool,
             in zip(f[STREET], f[POSTCODE], f[CITY], f[COUNTRY])]
     code, first = factorize(full)
     uniq = [full[i] for i in first.tolist()]
-    # per-worker memo of each query's candidate place rows: the query
-    # string set is Zipf-skewed across batches, so steady-state photon
-    # cost is a dict hit per unique address; the misses go to the index
-    # in one batched lookup
-    memo = getattr(gazetteer, "_photon_memo", None)
-    if memo is None:
-        memo = gazetteer._photon_memo = {}
-    todo = [q for q in uniq if q not in memo] if use_memo else uniq
-    qi, found_rows = gazetteer.fuzzy_many(todo, use_cache=use_memo)
+    # the world's photon memo keeps each query's candidate place rows:
+    # the query string set is Zipf-skewed across batches, so steady-state
+    # photon cost is a memo hit per unique address; the misses go to the
+    # index in one batched lookup
+    memo = world_memo(gazetteer.memos, "photon", cfg)
+    per_q = memo.get_many(uniq)
+    todo = [q for q, hit in zip(uniq, per_q) if hit is None]
+    qi, found_rows = gazetteer.fuzzy_many(
+        todo, use_cache=cfg.with_worker_memos)
     bounds = np.searchsorted(qi, np.arange(len(todo) + 1)).tolist()
-    found = {q: found_rows[a:b].copy()
-             for q, a, b in zip(todo, bounds, bounds[1:])}
-    if use_memo:
-        memo.update(islice(found.items(), max(0, (1 << 17) - len(memo))))
-    per_q = [found[q] if q in found else memo[q] for q in uniq]
+    found = [found_rows[a:b].copy() for a, b in zip(bounds, bounds[1:])]
+    memo.put_many(todo, found)
+    found = iter(found)
+    per_q = [next(found) if hit is None else hit for hit in per_q]
     counts = np.array([len(r) for r in per_q], np.int64)
     # every row followed by its query's candidates, in photon order
     n_of = counts[code]
@@ -190,14 +190,14 @@ def photon_transformer(rows: AddressRows, gazetteer, check_results: bool,
     g = gazetteer.columns
     street, name = g["street_name"][place], g["name"][place]
     ph_street = np.where(street.astype(bool), street, name)
-    if check_results:
+    if cfg.photon_check_results:
         fake_hn = np.full(len(row), "", dtype=object)
         keep, _, _, _ = keep_bests(
             rows.idx[row], [("ph_street", ph_street)], fake_hn,
             g["post_code"][place], g["post_name"][place], f[STREET][row],
             fake_hn, f[POSTCODE][row], f[CITY][row],
             np.arange(len(row)) - np.repeat(np.cumsum(n_of) - n_of, n_of),
-            threshold=threshold)
+            threshold=cfg.similarity_threshold)
     else:
         keep = first_per_group(rows.idx[row])
     row, place = row[keep], place[keep]
@@ -241,12 +241,9 @@ def apply_transformers(rows: AddressRows, transformers: list[str],
             cur = AddressRows(cur.idx, {**cur.fields,
                                         **dict.fromkeys(_BLANKS[t], blank)})
         elif t == "libpostal":
-            cur = libpostal_transformer(cur, parser, cfg.check_results,
-                                        cfg.similarity_threshold)
+            cur = libpostal_transformer(cur, parser, gazetteer, cfg)
         elif t == "photon":
-            cur = photon_transformer(cur, gazetteer, cfg.photon_check_results,
-                                     cfg.similarity_threshold,
-                                     use_memo=cfg.with_worker_memos)
+            cur = photon_transformer(cur, gazetteer, cfg)
         elif t in TRANSFORMER_REGISTRY:
             cur = _run_registered(TRANSFORMER_REGISTRY[t], cur, parser,
                                   gazetteer, cfg)

@@ -510,3 +510,41 @@ def test_memo_hits_build_no_dataframe(street, monkeypatch):
     assert geocode_one(one)["match"]
     assert batch_geocode(batch, with_rejected=True)["match"]
     assert built == []
+
+
+def test_benchmark_trace_hooks_attach_and_count(monkeypatch):
+    """The benchmark's traced replay (perfbench/spantrace.py) wraps georay
+    names and reads the memo-hit share as 1 - step0 rows / address rows:
+    every address, a memo hit included, passes ``process_addresses_df``,
+    and only the misses reach the cascade's first step."""
+    import os
+
+    from georay.config import INPUT_FIELDS
+    from georay.corpus import make_addresses
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "perfbench"))
+    from spantrace import Tracer, install_georay_layers
+
+    from georay import api
+    monkeypatch.setattr(get_gazetteer(SPEC), "memos", {})
+    pool = [{f: str(r[f]) for f in INPUT_FIELDS} for r in make_addresses(
+        4, spec=SPEC, seed=23).to_dict("records")]
+    assert len({tuple(p.values()) for p in pool}) == 4
+    geocode_one({"addr_key": "w", **pool[0]}, spec=SPEC)
+    originals = (api.process_addresses_df, api.geocode_one)
+    tracer = Tracer()
+    install_georay_layers(tracer)
+    try:
+        assert api.geocode_one({"addr_key": "hit", **pool[0]},
+                               spec=SPEC)["match"]
+        api.geocode_one({"addr_key": "miss", **pool[1]}, spec=SPEC)
+        api.batch_geocode([{"addr_key": f"b{i}", **pool[i]}
+                           for i in (0, 2, 3)], spec=SPEC)
+    finally:
+        tracer.restore()
+    assert (api.process_addresses_df, api.geocode_one) == originals
+    assert tracer.counts["api.requests"] == 3
+    assert tracer.counts["cascade.addr_rows"] == 5
+    assert tracer.counts["transforms.step0.rows"] == 3
+    assert tracer.counts["parser.calls"] > 0

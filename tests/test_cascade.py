@@ -8,16 +8,19 @@ import pyarrow as pa
 import pytest
 
 from georay import cascade, compare
-from georay.cascade import process_addresses_df
+from georay.cascade import _ResultStore, process_addresses_df
 from georay.config import (ADDR_KEY, CITY, COUNTRY, HOUSENBR, INPUT_FIELDS,
                            M_REJECT_REASON, POSTCODE, STREET,
                            PipelineConfig)
 from georay.corpus import make_addresses
 from georay.gazetteer import GazetteerSpec, get_gazetteer
+from georay.memo import CAPS, world_memo
 from georay.parser import AddressParser
 from georay.stepstats import outcome_counters, outcome_counts
 from georay.transforms import (AddressRows, apply_transformers,
                                clean_addr_in)
+
+from cascade_frames import geocode_frame
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +43,7 @@ def _rows(*addrs):
 
 def _run(world, rows):
     spec, gaz, parser, cfg = world
-    return process_addresses_df(pd.DataFrame(rows), gaz, parser, cfg)
+    return geocode_frame(pd.DataFrame(rows), gaz, parser, cfg)
 
 
 def test_clean_addr_in():
@@ -154,9 +157,9 @@ def test_parent_rescue_on_dutch_only_road(world, monkeypatch):
     monkeypatch.setattr(cascade, "_match_parent", spy)
     match = {}
     for use_parent in (True, False):
-        monkeypatch.setattr(gaz, "_cascade_memo", {}, raising=False)
+        monkeypatch.setattr(gaz, "memos", {})
         mismatches.clear()
-        out = process_addresses_df(
+        out = geocode_frame(
             pd.DataFrame([_addr("k1", st["name_fr"], "4", st["post_code"],
                                 st["post_name"])]),
             gaz, parser, PipelineConfig(use_osm_parent=use_parent))
@@ -188,7 +191,7 @@ def test_rejects_have_distance_to_match(world):
 def test_full_batch_every_class_resolves(world):
     spec, gaz, parser, cfg = world
     addrs = make_addresses(120, spec=spec, seed=11)
-    out = process_addresses_df(
+    out = geocode_frame(
         addrs.drop(columns=["truth_class", "truth_street_place_id"]),
         gaz, parser, cfg)
     m = out[out.status == "match"]
@@ -206,7 +209,7 @@ def test_osm_structured_mode(world):
     from georay.config import PipelineConfig
     cfg = PipelineConfig(osm_structured=True)
     st = gaz.places[gaz.places.place_rank == 26].iloc[0]
-    out = process_addresses_df(
+    out = geocode_frame(
         pd.DataFrame([_addr("k1", st["name"], "4", st["post_code"],
                             st["post_name"])]), gaz, parser, cfg)
     m = out[out.status == "match"]
@@ -229,7 +232,6 @@ def test_cascade_memo_cold_warm_identical():
     the memo disabled, yields identical rows."""
     import pandas as pd
 
-    from georay.cascade import process_addresses_df
     from georay.config import ADDR_KEY, PipelineConfig
     from georay.gazetteer import GazetteerSpec, get_gazetteer
     from georay.parser import AddressParser
@@ -254,9 +256,9 @@ def test_cascade_memo_cold_warm_identical():
                 .reset_index(drop=True)
                 .sort_index(axis=1))
 
-    cold = canon(process_addresses_df(df, gaz, parser, cfg_memo))
-    warm = canon(process_addresses_df(df, gaz, parser, cfg_memo))
-    plain = canon(process_addresses_df(df, gaz, parser, cfg_plain))
+    cold = canon(geocode_frame(df, gaz, parser, cfg_memo))
+    warm = canon(geocode_frame(df, gaz, parser, cfg_memo))
+    plain = canon(geocode_frame(df, gaz, parser, cfg_plain))
     pd.testing.assert_frame_equal(cold, warm)
     pd.testing.assert_frame_equal(cold, plain)
 
@@ -267,7 +269,6 @@ def test_cascade_memo_duplicate_addr_key_different_tuples():
     rows as the plain path, not crash (synthetic representative keys)."""
     import pandas as pd
 
-    from georay.cascade import process_addresses_df
     from georay.config import ADDR_KEY, PipelineConfig
     from georay.gazetteer import GazetteerSpec, get_gazetteer
     from georay.parser import AddressParser
@@ -286,7 +287,7 @@ def test_cascade_memo_duplicate_addr_key_different_tuples():
     # memo path: each row resolves via its own tuple (the plain path's
     # key-based joins fan out on duplicated keys — the REST layer
     # rejects them; this path must stay sane, not crash)
-    out = process_addresses_df(df, gaz, parser,
+    out = geocode_frame(df, gaz, parser,
                                PipelineConfig(with_cascade_memo=True))
     matches = out[out["status"] == "match"]
     assert len(matches) == 2               # one per distinct tuple
@@ -301,7 +302,6 @@ def test_worker_memos_off_identical():
     memoization, so disabling them changes cost only."""
     import pandas as pd
 
-    from georay.cascade import process_addresses_df
     from georay.config import ADDR_KEY, PipelineConfig
     from georay.gazetteer import GazetteerSpec, get_gazetteer
     from georay.parser import AddressParser
@@ -328,12 +328,10 @@ def test_worker_memos_off_identical():
                 .reset_index(drop=True)
                 .sort_index(axis=1))
 
-    a = canon(process_addresses_df(df, gaz, parser, on))
+    a = canon(geocode_frame(df, gaz, parser, on))
     # run the memo-on path TWICE so caches are warm, then compare off
-    a2 = canon(process_addresses_df(df, gaz, parser, on))
-    p_off = AddressParser()
-    p_off.memo_enabled = False
-    b = canon(process_addresses_df(df, gaz, p_off, off))
+    a2 = canon(geocode_frame(df, gaz, parser, on))
+    b = canon(geocode_frame(df, gaz, AddressParser(), off))
     pd.testing.assert_frame_equal(a, a2)
     pd.testing.assert_frame_equal(a, b)
 
@@ -387,12 +385,13 @@ def test_memo_key_is_injective(world, monkeypatch):
         rows.append(_addr(f"b{ord(sep)}", s["name"], "4" + sep,
                           s["post_code"], s["post_name"]))
     df = pd.DataFrame(rows)
-    monkeypatch.setattr(gaz, "_cascade_memo", {}, raising=False)
+    monkeypatch.setattr(gaz, "memos", {})
     cfg = PipelineConfig()
-    on = process_addresses_df(df, gaz, parser, cfg)
-    assert len(gaz._cascade_memo[repr(cfg)].slot) == len(rows)
-    warm = process_addresses_df(df, gaz, parser, cfg)
-    off = process_addresses_df(df, gaz, parser,
+    on = geocode_frame(df, gaz, parser, cfg)
+    assert len(world_memo(gaz.memos, "store", cfg, _ResultStore).index) \
+        == len(rows)
+    warm = geocode_frame(df, gaz, parser, cfg)
+    off = geocode_frame(df, gaz, parser,
                                PipelineConfig(with_cascade_memo=False))
     pd.testing.assert_frame_equal(on, off)
     pd.testing.assert_frame_equal(warm, off)
@@ -433,11 +432,11 @@ def test_span_path_identical_in_every_memo_state(world, monkeypatch):
     for name, batch in batches.items():
         off = geocode(batch, False)
         assert off.num_rows >= batch.num_rows, name
-        monkeypatch.setattr(gaz, "_cascade_memo", {}, raising=False)
+        monkeypatch.setattr(gaz, "memos", {})
         _tables_identical(geocode(batch, True), off)      # cold
         _tables_identical(geocode(batch, True), off)      # warm
-        monkeypatch.setattr(gaz, "_cascade_memo", {}, raising=False)
-        monkeypatch.setattr(cascade, "_MEMO_MAX_KEYS", 3)
+        monkeypatch.setattr(gaz, "memos", {})
+        monkeypatch.setitem(CAPS, "store", 3)
         _tables_identical(geocode(batch, True), off)      # overflow, cold
         _tables_identical(geocode(batch, True), off)      # overflow, warm
         monkeypatch.undo()
@@ -477,7 +476,7 @@ def test_step_failure_labels_counts_and_stops_rows(world, monkeypatch):
     st = gaz.places[gaz.places.place_rank == 26].iloc[0]
     rows = [_addr("ok", st["name"], "4", st["post_code"],
                   st["post_name"])] + _unresolvable(2)
-    out = process_addresses_df(pd.DataFrame(rows), gaz, parser, cfg)
+    out = geocode_frame(pd.DataFrame(rows), gaz, parser, cfg)
     # the failed rows are labelled and reported as matches, as in the
     # reference (utils.py:1255-1261)
     by_key = out[out.status == "match"].set_index(ADDR_KEY)["m_method"]
@@ -500,7 +499,7 @@ def test_memo_does_not_keep_step_failures(world, monkeypatch):
     from georay.config import DEFAULT_CASCADE
     from georay.transforms import TRANSFORMER_REGISTRY
     spec, gaz, parser, _ = world
-    monkeypatch.setattr(gaz, "_cascade_memo", {}, raising=False)
+    monkeypatch.setattr(gaz, "memos", {})
     monkeypatch.setitem(TRANSFORMER_REGISTRY, "boom", _boom(1))
     steps = [list(s) for s in DEFAULT_CASCADE]
     steps.insert(1, ["boom"])
@@ -508,22 +507,22 @@ def test_memo_does_not_keep_step_failures(world, monkeypatch):
     df = pd.DataFrame([_addr("ok", st["name"], "4", st["post_code"],
                              st["post_name"])] + _unresolvable(2))
     on = PipelineConfig(cascade=steps)
-    first = process_addresses_df(df, gaz, parser, on)
+    first = geocode_frame(df, gaz, parser, on)
     methods = first[first.status == "match"].set_index(ADDR_KEY)["m_method"]
     assert methods.to_dict() == {"ok": "orig",
                                  "u0": "error on boom: RuntimeError",
                                  "u1": "error on boom: RuntimeError"}
-    store = gaz._cascade_memo[repr(on)]
-    assert len(store.slot) == 1                  # only the clean row kept
-    second = process_addresses_df(df, gaz, parser, on)
-    off = process_addresses_df(df, gaz, parser,
+    store = world_memo(gaz.memos, "store", on, _ResultStore).index
+    assert len(store) == 1                       # only the clean row kept
+    second = geocode_frame(df, gaz, parser, on)
+    off = geocode_frame(df, gaz, parser,
                                PipelineConfig(cascade=steps,
                                               with_cascade_memo=False))
     assert not off["m_method"].str.startswith("error on").any()
     pd.testing.assert_frame_equal(second, off)
     # the recovered answers are kept and served from the memo from now on
-    assert len(store.slot) == 3
-    pd.testing.assert_frame_equal(process_addresses_df(df, gaz, parser, on),
+    assert len(store) == 3
+    pd.testing.assert_frame_equal(geocode_frame(df, gaz, parser, on),
                                   off)
 
 
@@ -532,18 +531,17 @@ def test_memo_off_parses_again_in_every_batch(world, monkeypatch):
     pays the same parses as the first (no libpostal memo of its own)."""
     spec, gaz, _, _ = world
     calls = []
-    real = AddressParser._parse_uncached
-    monkeypatch.setattr(AddressParser, "_parse_uncached",
+    real = AddressParser.parse
+    monkeypatch.setattr(AddressParser, "parse",
                         lambda self, text: calls.append(text)
                         or real(self, text))
     cfg = PipelineConfig(with_cascade_memo=False, with_worker_memos=False)
     parser = AddressParser()
-    parser.memo_enabled = False
     df = pd.DataFrame(_unresolvable(2))
     per_batch = []
     for _ in range(2):
         calls.clear()
-        process_addresses_df(df, gaz, parser, cfg)
+        geocode_frame(df, gaz, parser, cfg)
         per_batch.append(len(calls))
     assert per_batch[0] > 0
     assert per_batch[1] == per_batch[0]
@@ -580,8 +578,8 @@ def test_osm_structured_rows_do_not_borrow_candidates(world):
     # so both assemble to "<x pc> <y name>, Belgium"
     a = _addr("a", "", "", x["post_code"], y["post_name"])
     b = _addr("b", "", "", "", f"{x['post_code']} {y['post_name']}")
-    alone = process_addresses_df(pd.DataFrame([b]), gaz, parser, cfg)
-    both = process_addresses_df(pd.DataFrame([a, b]), gaz, parser, cfg)
+    alone = geocode_frame(pd.DataFrame([b]), gaz, parser, cfg)
+    both = geocode_frame(pd.DataFrame([a, b]), gaz, parser, cfg)
     match = both[both.status == "match"].set_index(ADDR_KEY)["m_place_id"]
     assert match.to_dict() == {"a": x["place_id"], "b": y["place_id"]}
     pd.testing.assert_frame_equal(

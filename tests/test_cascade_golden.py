@@ -12,12 +12,14 @@ import pandas as pd
 import pytest
 
 from georay import compare
-from georay.cascade import RESULT_COLUMNS, process_addresses_df
+from georay.cascade import RESULT_COLUMNS
 from georay.config import (ADDR_KEY, CITY, COUNTRY, HOUSENBR, POSTCODE,
                            STREET, PipelineConfig)
 from georay.corpus import make_addresses
 from georay.gazetteer import GazetteerSpec, get_gazetteer
 from georay.parser import AddressParser
+
+from cascade_frames import geocode_frame
 
 SPEC = GazetteerSpec()
 
@@ -86,10 +88,8 @@ def run_flip(flip: str) -> pd.DataFrame:
     """The flip's cascade rows; the caller resets the cascade memo and,
     for ``strict_street``, the comparator."""
     gaz = get_gazetteer(SPEC)
-    cfg = PipelineConfig(**FLIPS[flip])
-    parser = AddressParser()
-    parser.memo_enabled = cfg.with_worker_memos
-    return process_addresses_df(golden_addresses(), gaz, parser, cfg)
+    return geocode_frame(golden_addresses(), gaz, AddressParser(),
+                         PipelineConfig(**FLIPS[flip]))
 
 
 # rows and the per-column digests (RESULT_COLUMNS order) of each flip
@@ -176,8 +176,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("flip", sorted(FLIPS))
 def test_result_columns_match_golden(flip, monkeypatch):
-    monkeypatch.setattr(get_gazetteer(SPEC), "_cascade_memo", {},
-                        raising=False)
+    monkeypatch.setattr(get_gazetteer(SPEC), "memos", {})
     if flip == "strict_street":
         monkeypatch.setattr(compare, "street_similarity", _strict_street)
     out = run_flip(flip)

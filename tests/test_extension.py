@@ -13,6 +13,8 @@ from georay.parser import AddressParser
 from georay.transforms import (TRANSFORMER_REGISTRY, AddressRows,
                                apply_transformers, register_transformer)
 
+from cascade_frames import geocode_frame
+
 SPEC = GazetteerSpec()
 
 
@@ -47,8 +49,7 @@ def test_register_custom_transformer_in_cascade():
         # custom step also runs inside a full cascade config
         cfg = PipelineConfig()
         cfg.cascade.insert(1, ["stripmarker"])
-        from georay.cascade import process_addresses_df
-        res = process_addresses_df(df, gaz, AddressParser(), cfg)
+        res = geocode_frame(df, gaz, AddressParser(), cfg)
         m = res[res.status == "match"]
         assert len(m) == 1 and m.iloc[0]["m_method"] == "stripmarker"
     finally:
@@ -62,7 +63,6 @@ def test_registered_transformer_adapter_maps_rows_by_addr_key(monkeypatch):
     same cascade rows as the order-preserving transformer; rows it left
     unchanged are filtered; an addr_key it was not given fails the
     step."""
-    from georay.cascade import process_addresses_df
     gaz = get_gazetteer(SPEC)
     streets = gaz.places[gaz.places.place_rank == 26].head(4)
     df = pd.DataFrame([{"addr_key": f"k{i}", STREET: s["name"] + " ZZZ",
@@ -88,7 +88,7 @@ def test_registered_transformer_adapter_maps_rows_by_addr_key(monkeypatch):
             return search_many(parts, *args, **kwargs)
 
         monkeypatch.setattr(gaz, "search_many", spy)
-        out = process_addresses_df(
+        out = geocode_frame(
             df, gaz, AddressParser(),
             PipelineConfig(cascade=[["custom"]], with_cascade_memo=False))
         return out, sent

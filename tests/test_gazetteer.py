@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from georay.cascade import (_COLLAPSE_CITY, _COLLAPSE_STREET, _CAND_COLS,
-                            _explode_candidates, process_addresses_df)
+                            _explode_candidates)
 from georay.config import (DROP_ADDR_ITEMS, INPUT_FIELDS,
                            M_OSM_ORDER, M_TRANSFORMED, O_CITY, O_COUNTRY,
                            O_DISPLAY, O_HOUSENBR, O_LAT, O_LON, O_OTHER,
@@ -28,6 +28,8 @@ from georay.gazetteer import (Gazetteer, GazetteerSpec, TrigramIndex,
                               get_gazetteer, parse_free_text)
 from georay.parser import AddressParser
 from georay.textkernels import jaro_winkler, normalize_street
+
+from cascade_frames import geocode_frame
 
 
 def _trigrams(s: str) -> set[str]:
@@ -485,9 +487,9 @@ def test_osm_structured_batch_rows_unchanged():
     gazetteer was batched."""
     addrs = make_addresses(200, spec=SPEC, seed=21)
     cfg = PipelineConfig(osm_structured=True, with_cascade_memo=False)
-    out = process_addresses_df(addrs.drop(columns=["truth_class",
-                                                   "truth_street_place_id"]),
-                               GAZ, AddressParser(), cfg)
+    out = geocode_frame(addrs.drop(columns=["truth_class",
+                                            "truth_street_place_id"]),
+                        GAZ, AddressParser(), cfg)
     rows = json.dumps(out.to_dict("records"), sort_keys=True, default=str)
     assert len(out) == 787
     assert hashlib.sha256(rows.encode()).hexdigest()[:16] == "e29643558cdd6bb7"

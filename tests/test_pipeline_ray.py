@@ -21,6 +21,8 @@ from georay.pipeline import (capped_map, capped_pieces, geocode_addresses,
                              synth_documents_dataset)
 from georay.tiles import rollup_counts, rollup_counts_salted
 
+from cascade_frames import geocode_frame
+
 SPEC = GazetteerSpec()
 
 
@@ -83,7 +85,6 @@ def test_rollup_counts_match_total(span_results):
 def test_geocode_addresses_parity_with_batchlocal(ray_session):
     """The Ray path and a direct single-process cascade agree row-for-row
     (the notebook's cross-mode consistency assertion, SURVEY.md §5)."""
-    from georay.cascade import process_addresses_df
     from georay.gazetteer import get_gazetteer
     from georay.parser import AddressParser
 
@@ -92,8 +93,8 @@ def test_geocode_addresses_parity_with_batchlocal(ray_session):
     ds = ray.data.from_pandas(addrs).repartition(4)
     ray_out = geocode_addresses(ds, spec=SPEC, batch_size=16,
                                 with_tiles=False).to_pandas()
-    local_out = process_addresses_df(addrs, get_gazetteer(SPEC),
-                                     AddressParser(), PipelineConfig())
+    local_out = geocode_frame(addrs, get_gazetteer(SPEC), AddressParser(),
+                              PipelineConfig())
     km = ray_out[ray_out.status == "match"].set_index("addr_key")
     lm = local_out[local_out.status == "match"].set_index("addr_key")
     assert set(km.index) == set(lm.index)
@@ -160,6 +161,54 @@ def test_capped_map_keeps_bundling_for_split_reads(ray_session, tmp_path):
     op, sizes = call_sizes(8)
     assert op == "ReadParquet->SplitBlocks(4)"
     assert sum(sizes) == 80 and max(sizes) == 32
+
+
+@pytest.mark.parametrize("blocks,plan", [(2, "ReadParquet->MapBatches("),
+                                         (8, "ReadParquet->SplitBlocks(")])
+def test_capped_map_survives_worker_death(ray_session, tmp_path, blocks,
+                                          plan):
+    """A worker that dies after the first yielded piece of its task is
+    replaced and the task runs again: the pass gives the rows of an
+    undisturbed pass, none labelled "error on", in the fused plan and in
+    the split-read plan alike."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from georay.cascade import ERROR_ON, address_cascade_fn
+
+    addrs = make_addresses(80, spec=SPEC, seed=19).drop(
+        columns=["truth_class", "truth_street_place_id"])
+    for i in range(2):
+        pq.write_table(pa.Table.from_pandas(
+            addrs.iloc[40 * i:40 * (i + 1)], preserve_index=False),
+            tmp_path / f"part{i}.parquet")
+    casc = address_cascade_fn(SPEC, PipelineConfig())
+    died = str(tmp_path / "died")
+
+    def dying(batch, calls=[0]):
+        # the second call of a task comes after its first piece was
+        # yielded; exit there, once
+        calls[0] += 1
+        if calls[0] == 2 and not os.path.exists(died):
+            open(died, "w").close()
+            os._exit(1)
+        return casc(batch)
+
+    def run(fn):
+        ds = ray.data.read_parquet(str(tmp_path), file_extensions=["parquet"],
+                                   override_num_blocks=blocks)
+        out = capped_map(ds, fn, 16).materialize()
+        assert _first_operator(out).startswith(plan)
+        return (out.to_pandas().sort_values(["addr_key", "status",
+                                             "m_place_id"])
+                .reset_index(drop=True))
+
+    want = run(casc)
+    got = run(dying)
+    assert os.path.exists(died)
+    assert not got["m_method"].str.startswith(ERROR_ON).any()
+    pd.testing.assert_frame_equal(got, want)
 
 
 @pytest.mark.parametrize("cap", [1, 7, 1024])

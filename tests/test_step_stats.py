@@ -53,8 +53,7 @@ def _counters(rows: pa.Table, cfg) -> dict:
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
-    monkeypatch.setattr(get_gazetteer(SPEC), "_cascade_memo", {},
-                        raising=False)
+    monkeypatch.setattr(get_gazetteer(SPEC), "memos", {})
 
 
 @pytest.fixture

@@ -177,7 +177,7 @@ def test_knn_rescuer_memo_full_scores_once_per_batch():
     from georay.gazetteer import GazetteerSpec
     from georay.knn import KnnRescuer
     r = KnnRescuer(GazetteerSpec(), k=3)
-    r._memo.update({("filler", str(i)): NONE for i in range(1 << 16)})
+    r.memo.data.update({("filler", str(i)): NONE for i in range(1 << 16)})
     calls = []
     score = r._score_batch
     r._score_batch = lambda uniq: calls.append(list(uniq)) or score(uniq)
@@ -185,7 +185,8 @@ def test_knn_rescuer_memo_full_scores_once_per_batch():
         calls.clear()
         assert _knn_rows(r(_mixed_batch())) == [tuple(x) for x in MIXED_WANT]
         assert len(calls) == 1 and len(calls[0]) == 3
-    assert len(r._memo) == 1 << 16
+    assert len(r.memo) == 1 << 16
+    assert r.memo.refused == 6
 
 
 def test_knn_rescuer_prefilter_cut_at_vote_ties():
