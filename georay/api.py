@@ -7,6 +7,14 @@ The REST protocol itself is out of scope (no network in the engine);
 these functions are the *semantics* behind the endpoints
 (nominatimwrapper.py:504-921), runnable in-process or as the driver of a
 Ray Data pipeline for large payloads.
+
+Both geocode endpoints send ``cascade.process_addresses_df`` one Arrow
+table: ``geocode_one`` a one-row table, which takes its scalar memo
+route (a hit is a slice of the result store, rendered scalar by scalar),
+``batch_geocode`` the whole payload, which takes the batch route (one
+vectorized probe, one cascade over the misses, an Arrow render).  Every
+payload value reaches the cascade as ``_field`` makes it: None is "",
+anything else its ``str``.
 """
 
 from __future__ import annotations
@@ -100,22 +108,27 @@ def to_camel_case(key: str) -> str:
     return re.sub(r"_([a-z0-9])", lambda m: m.group(1).upper(), key)
 
 
-def _nested_rows(tbl: pa.Table, leaves: list[tuple[str, str, str]]
-                 ) -> list[dict]:
-    """Pack every row of ``tbl``, whose columns are the ``leaves``'
-    columns in order, into the nested camelCase JSON shape, skipping
+def _pack(n: int, leaves: list[tuple[str, str, str]], columns) -> list[dict]:
+    """``n`` rows in the nested camelCase JSON shape from ``columns``,
+    one list of ``n`` Python values per leaf of ``leaves``, skipping
     null/empty leaves (multiindex_to_dict semantics: utils.py:218 drops
-    NaN and ''), one column at a time: each column converts to Python
-    once and fills its leaf in every row."""
-    rows: list[dict] = [{} for _ in range(tbl.num_rows)]
-    for (col, ns, leaf), values in zip(leaves, tbl.columns):
+    NaN and ''): each column fills its leaf in every row."""
+    rows: list[dict] = [{} for _ in range(n)]
+    for (col, ns, leaf), values in zip(leaves, columns):
         cast = _CASTS.get(col)
-        for out, v in zip(rows, values.to_pylist()):
+        for out, v in zip(rows, values):
             # None, "" or NaN (the only value != itself)
             if v is None or v == "" or v != v:
                 continue
             out.setdefault(ns, {})[leaf] = cast(v) if cast else v
     return rows
+
+
+def _nested_rows(tbl: pa.Table, leaves: list[tuple[str, str, str]]
+                 ) -> list[dict]:
+    """Every row of ``tbl``, whose columns are the ``leaves``' columns in
+    order, in the nested shape; each column converts to Python once."""
+    return _pack(tbl.num_rows, leaves, (c.to_pylist() for c in tbl.columns))
 
 
 def validate_geocode_args(mode: str) -> None:
@@ -125,6 +138,17 @@ def validate_geocode_args(mode: str) -> None:
 
 
 FULL_ADDRESS = "full_address"
+
+
+def _field(v) -> str:
+    """A payload value as the cascade's string: None (or absent) is "",
+    anything else its ``str`` — ``0`` stays ``"0"``."""
+    return "" if v is None else str(v)
+
+
+def _one_key(data: dict) -> str:
+    """The referenceKey of a single request: "-1" when none is given."""
+    return _field(data.get(ADDR_KEY)) or "-1"
 
 
 def resolve_input_fields(data: dict, check_result: bool,
@@ -150,7 +174,7 @@ def resolve_input_fields(data: dict, check_result: bool,
     out = {k: v for k, v in data.items() if k != FULL_ADDRESS}
     for f in INPUT_FIELDS:
         out[f] = ""
-    out[STREET] = str(data[FULL_ADDRESS] or "")
+    out[STREET] = _field(data[FULL_ADDRESS])
     return out
 
 
@@ -178,10 +202,11 @@ def _fast_path(data: dict, gaz, parser, with_rejected: bool,
     result, low-rank retry on cleansed house number
     (process_address_fast, utils.py:963-1076).  Long mode attaches the
     raw candidate record (candidateJson) like the cascade path."""
+    street, hn, postcode, city, country = (
+        _field(data.get(f)) for f in (STREET, HOUSENBR, POSTCODE, CITY,
+                                      COUNTRY))
     addr_in = clean_addr_in(
-        f"{data.get(STREET, '')}, {data.get(HOUSENBR, '')}, "
-        f"{data.get(POSTCODE, '')} {data.get(CITY, '')}, "
-        f"{data.get(COUNTRY, '')}")
+        f"{street}, {hn}, {postcode} {city}, {country}")
     results = gaz.search(addr_in, limit=50, namedetails=False)
     if not results:
         return None
@@ -209,7 +234,6 @@ def _fast_path(data: dict, gaz, parser, with_rejected: bool,
         return m
 
     first = fmt(results[0], 0)
-    hn = str(data.get(HOUSENBR, "") or "")
     if first["metadata"]["placeRank"] < 30:
         mm = re.match(r"^([0-9]+)", hn)
         if mm and mm.group(1) != hn:
@@ -222,15 +246,14 @@ def _fast_path(data: dict, gaz, parser, with_rejected: bool,
                 res2["match"][0]["metadata"]["matchOnCleansedHouseNumber"] = True
                 return res2
     first["metadata"]["transformedAddress"] = addr_in
-    first["input"] = {"referenceKey": str(data.get(ADDR_KEY, "-1")),
-                      "streetName": data.get(STREET, ""),
+    first["input"] = {"referenceKey": _one_key(data),
+                      "streetName": street,
                       "houseNumber": hn,
-                      "postCode": data.get(POSTCODE, ""),
-                      "postName": data.get(CITY, ""),
-                      "countryName": data.get(COUNTRY, "")}
+                      "postCode": postcode,
+                      "postName": city,
+                      "countryName": country}
     if extra_house_number:
-        pairs = parser.parse(f"{data.get(STREET, '')} {hn}, "
-                             f"{data.get(POSTCODE, '')} {data.get(CITY, '')}")
+        pairs = parser.parse(f"{street} {hn}, {postcode} {city}")
         first["output"]["inHouseNumber"] = hn
         first["output"]["libpostalHouseNumber"] = ";".join(
             v for v, l in pairs if l == "house_number")
@@ -253,9 +276,12 @@ def geocode_one(data: dict, mode: str = "short", with_rejected: bool = True,
                 cfg: PipelineConfig | None = None) -> dict:
     """Single-address geocode (POST /geocode semantics,
     nominatimwrapper.py:504-668 + process_address utils.py:1100-1192):
-    fastmode tries a direct call first; otherwise the full cascade runs
-    on a 1-row batch.  Accepts ``full_address`` free-text input with the
-    reference's mutual-exclusion rules (see resolve_input_fields)."""
+    fastmode tries a direct call first; otherwise the address goes to
+    ``process_addresses_df`` as a one-row table, whose scalar route
+    serves a memo hit as a slice of the result store (a miss runs the
+    cascade), and its few rows are rendered one scalar at a time
+    (``_render_rows``).  Accepts ``full_address`` free-text input with
+    the reference's mutual-exclusion rules (see resolve_input_fields)."""
     validate_geocode_args(mode)
     data = resolve_input_fields(
         data, check_result,
@@ -266,15 +292,40 @@ def geocode_one(data: dict, mode: str = "short", with_rejected: bool = True,
                           extra_house_number, mode=mode)
         if fast is not None:
             return fast
-    row = {ADDR_KEY: str(data.get(ADDR_KEY) or "-1")}
-    for f in INPUT_FIELDS:
-        row[f] = str(data.get(f, "") or "")
+    # one string conversion, cut into the row's six zero-copy columns
+    values = pa.array([_one_key(data)]
+                      + [_field(data.get(f)) for f in INPUT_FIELDS],
+                      pa.string())
+    row = pa.Table.from_arrays([values.slice(i, 1)
+                                for i in range(len(values))],
+                               schema=_INPUT_SCHEMA)
     cfg = cfg or PipelineConfig(check_results=check_result,
                                 with_extra_house_number=extra_house_number)
     cfg = _long_mode_cfg(cfg, mode)
-    res = process_addresses_df(
-        pa.Table.from_pylist([row], schema=_INPUT_SCHEMA), gaz, parser, cfg)
-    return _format_results(res, mode, with_rejected)
+    res = process_addresses_df(row, gaz, parser, cfg)
+    return _render_rows(res, mode, with_rejected)
+
+
+def _render_rows(res: pa.Table, mode: str, with_rejected: bool) -> dict:
+    """``_format_results`` for the few rows of one request: the wanted
+    rows are picked from the status column in Python and each of their
+    leaves is read as a scalar, with no Arrow filter or projection
+    (columns are looked up by position, which pyarrow does faster than
+    by name)."""
+    at = {c: i for i, c in enumerate(res.schema.names)}
+    leaves = [lf for lf in _MODE_LEAVES[mode] if lf[0] in at]
+    status = res.column(at[STATUS]).to_pylist()
+
+    def nested(want: str) -> list[dict]:
+        picked = [i for i, s in enumerate(status) if s == want]
+        if not picked:
+            return []
+        return _pack(len(picked), leaves, (
+            [col[i].as_py() for i in picked]
+            for col in (res.column(at[c]) for c, _, _ in leaves)))
+
+    return {"match": nested("match"),
+            "rejected": nested("reject") if with_rejected else []}
 
 
 def _format_results(res: pa.Table, mode: str,
@@ -300,25 +351,25 @@ def batch_geocode(payload: list[dict], mode: str = "short",
                   cfg: PipelineConfig | None = None) -> dict:
     """Batch geocode (POST /batchGeocode semantics,
     nominatimwrapper.py:709-855): mandatory-field check, duplicate-key
-    rejection, cascade, per-mode projection.  For payloads beyond memory
-    use ``pipeline.geocode_addresses`` on a Dataset instead."""
+    rejection, cascade, per-mode projection.  The payload goes to
+    ``process_addresses_df`` as one table (the batch route: one memo
+    probe for every row, one cascade over the misses) and its rows are
+    rendered column by column in Arrow (``_format_results``).  For
+    payloads beyond memory use ``pipeline.geocode_addresses`` on a
+    Dataset instead."""
     validate_geocode_args(mode)
     if not payload:
         raise ValueError("empty payload")
     payload = [resolve_input_fields(
         p, check_result, osm_structured=bool(cfg and cfg.osm_structured))
         for p in payload]
-    keys = [str(p.get(ADDR_KEY, "")) for p in payload]
+    keys = [_field(p.get(ADDR_KEY)) for p in payload]
     if any(not k for k in keys):
         raise ValueError("missing mandatory field addr_key")
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate addr_key values in payload")
-    rows = []
-    for p in payload:
-        row = {ADDR_KEY: str(p.get(ADDR_KEY))}
-        for f in INPUT_FIELDS:
-            row[f] = str(p.get(f, "") or "")
-        rows.append(row)
+    rows = [{ADDR_KEY: k, **{f: _field(p.get(f)) for f in INPUT_FIELDS}}
+            for k, p in zip(keys, payload)]
     gaz, parser = _world(spec)
     cfg = cfg or PipelineConfig(check_results=check_result,
                                 with_extra_house_number=extra_house_number)

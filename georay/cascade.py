@@ -32,6 +32,7 @@ splits on " - " and takes a max, so scores are unaffected.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 
 import numpy as np
 import pyarrow as pa
@@ -545,38 +546,76 @@ class _ResultStore:
     (street, housenumber, postcode, city, country) — addr_key only labels
     rows — and real corpora repeat addresses heavily (the bench corpus is
     83% repeats), so the cascade runs once per UNIQUE tuple per worker.
-    Its finalized rows (``RESULT_SCHEMA`` minus addr_key) live in ONE
-    Arrow table; the key ``k`` with ``s = slot[k]`` owns the rows
-    ``start[s] : start[s] + length[s]``.  A batch probes the key index
-    (a ``Memo`` of key -> slot, capped at ``cap`` keys; keys past the cap
-    are still computed and served batch-locally, just not kept) in one
-    pass, then every hit is served by a single ``take`` on the table:
-    no per-row frames or per-key arrays (the probe-then-gather layout of
-    vectorized hash tables, VLDB 2023)."""
+    Its finalized rows (``RESULT_SCHEMA`` minus addr_key) live in Arrow
+    chunks, one per append; the key ``k`` with ``s = slot[k]`` owns the
+    rows ``start[s] : start[s] + length[s]`` of their concatenation, all
+    in one chunk.  A batch probes the key index (a ``Memo`` of key ->
+    slot, capped at ``cap`` keys; keys past the cap are still computed
+    and served batch-locally, just not kept) in one pass, then every hit
+    is served by a single ``take`` on ``table``: no per-row frames or
+    per-key arrays (the probe-then-gather layout of vectorized hash
+    tables, VLDB 2023).  One key is served by ``rows``, a zero-copy slice
+    of its chunk: for a single probe the scalar plan beats the gather."""
+
+    # appended chunks kept apart at most: each costs some KB of Arrow
+    # metadata, so a stream of single misses with no batch take between
+    # them is combined every MAX_CHUNKS appends
+    MAX_CHUNKS = 64
 
     def __init__(self, cap: int):
         self.index = Memo(cap)
         self.start = np.zeros(0, np.int64)
         self.length = np.zeros(0, np.int64)
-        self.table = _STORE_SCHEMA.empty_table()
+        self.chunks: list[pa.Table] = []
+        self.offsets: list[int] = []      # first row of each chunk
+        self.num_rows = 0
 
     def append(self, keys: list[str], rows: pa.Table,
                counts: np.ndarray) -> int:
         """Keep the leading representatives that fit under the cap (their
-        rows are the head of ``rows``, ``counts`` rows each); returns how
-        many were kept.  The table is re-combined so every probe takes
-        from one contiguous chunk and never pins the caller's batch."""
+        rows are the head of ``rows``, ``counts`` rows each) as a new
+        chunk; returns how many were kept."""
         base = len(self.index)
         k = self.index.put_many(keys, range(base, base + len(keys)))
         if k == 0:
             return 0
-        ends = self.table.num_rows + np.cumsum(counts[:k])
+        ends = self.num_rows + np.cumsum(counts[:k])
         self.start = np.r_[self.start, ends - counts[:k]]
         self.length = np.r_[self.length, counts[:k]]
-        self.table = pa.concat_tables(
-            [self.table, rows.slice(0, int(counts[:k].sum()))]
-        ).combine_chunks()
+        self.offsets.append(self.num_rows)
+        self.chunks.append(rows.slice(0, int(ends[-1]) - self.num_rows))
+        self.num_rows = int(ends[-1])
+        if len(self.chunks) > self.MAX_CHUNKS:
+            self._combine()
         return k
+
+    def _combine(self) -> None:
+        self.chunks = [pa.concat_tables(self.chunks).combine_chunks()]
+        self.offsets = [0]
+
+    @property
+    def table(self) -> pa.Table:
+        """Every stored row as one contiguous chunk, for a multi-row
+        ``take`` (Arrow concatenates a chunked table before each take,
+        so the chunks are combined once here and stay combined)."""
+        if not self.chunks:
+            return _STORE_SCHEMA.empty_table()
+        if len(self.chunks) > 1:
+            self._combine()
+        return self.chunks[0]
+
+    def rows(self, s: int) -> pa.Table:
+        """The rows of slot ``s``: a zero-copy slice of its chunk."""
+        start = int(self.start[s])
+        c = bisect_right(self.offsets, start) - 1
+        return self.chunks[c].slice(start - self.offsets[c],
+                                    int(self.length[s]))
+
+
+def _memo_key(fields) -> str:
+    """The ``_memo_keys`` key of one row's five field strings, built in
+    Python: the same byte-length prefixes (UTF-8), the same separator."""
+    return ":".join(f"{len(v.encode())}:{v}" for v in fields)
 
 
 def _memo_keys(inputs: pa.Table) -> list[str]:
@@ -596,37 +635,19 @@ def _field_arrays(tbl: pa.Table) -> dict[str, np.ndarray]:
     return {f: tbl[f].to_numpy() for f in INPUT_FIELDS}
 
 
-def _memo_results(inputs: pa.Table, store: _ResultStore, gazetteer, parser,
+def _memo_results(inputs: pa.Table, keys: list[str], slot: np.ndarray,
+                  store: _ResultStore, gazetteer, parser,
                   cfg: PipelineConfig) -> tuple[pa.Table, np.ndarray]:
-    """Result rows of every input row through the memo → (rows grouped
-    by input row in input order, row count per input row).  Hits are
-    served from the store; the misses run the cascade once per unique
-    tuple and are appended (or served batch-locally past the cap).
-    A representative with a step-failure row is served batch-locally
-    and never appended: the failure says nothing about the address, so
-    the next batch retries it, as with the memo off."""
+    """Result rows of every input row through the memo, given each row's
+    key and its probed ``slot`` (-1 for a miss) → (rows grouped by input
+    row in input order, row count per input row).  Hits are taken from
+    the store before anything is appended; the misses run the cascade
+    once per unique tuple, are served from that batch-local result, and
+    are appended (past the cap they are not kept).  A representative
+    with a step-failure row is never appended: the failure says nothing
+    about the address, so the next batch retries it, as with the memo
+    off."""
     n = inputs.num_rows
-    keys = _memo_keys(inputs)
-    slot = np.array(store.index.get_many(keys, -1), np.int64)
-    rep_of = np.full(n, -1, np.int64)
-    miss = np.flatnonzero(slot < 0)
-    rep_of[miss], first = factorize([keys[i] for i in miss.tolist()])
-    rep_rows = miss[first]
-    if len(rep_rows):
-        local, counts = _run_cascade(
-            _field_arrays(inputs.take(rep_rows)), gazetteer, parser, cfg)
-        local_start = np.cumsum(counts) - counts
-        ok, good = np.arange(len(counts)), local
-        failed = pc.starts_with(local[M_METHOD], ERROR_ON)
-        if pc.any(failed).as_py():
-            ok = np.setdiff1d(ok, np.repeat(ok, counts)[failed.to_numpy()])
-            good = local.take(concat_ranges(local_start[ok], counts[ok]))
-        kept = store.append([keys[i] for i in rep_rows[ok].tolist()], good,
-                            counts[ok])
-        new_slot = np.full(len(counts), -1, np.int64)
-        new_slot[ok[:kept]] = len(store.index) - kept + np.arange(kept)
-        slot[miss] = new_slot[rep_of[miss]]
-
     hit = slot >= 0
     begin = np.empty(n, np.int64)
     lens = np.empty(n, np.int64)
@@ -636,9 +657,21 @@ def _memo_results(inputs: pa.Table, store: _ResultStore, gazetteer, parser,
         begin[hit], lens[hit] = store.start[s], store.length[s]
         parts.append(store.table.take(concat_ranges(begin[hit], lens[hit])))
     if not hit.all():
-        r = rep_of[~hit]
-        begin[~hit], lens[~hit] = local_start[r], counts[r]
-        parts.append(local.take(concat_ranges(begin[~hit], lens[~hit])))
+        miss = np.flatnonzero(~hit)
+        rep_of, first = factorize([keys[i] for i in miss.tolist()])
+        rep_rows = miss[first]
+        local, counts = _run_cascade(
+            _field_arrays(inputs.take(rep_rows)), gazetteer, parser, cfg)
+        local_start = np.cumsum(counts) - counts
+        ok, good = np.arange(len(counts)), local
+        failed = pc.starts_with(local[M_METHOD], ERROR_ON)
+        if pc.any(failed).as_py():
+            ok = np.setdiff1d(ok, np.repeat(ok, counts)[failed.to_numpy()])
+            good = local.take(concat_ranges(local_start[ok], counts[ok]))
+        store.append([keys[i] for i in rep_rows[ok].tolist()], good,
+                     counts[ok])
+        begin[miss], lens[miss] = local_start[rep_of], counts[rep_of]
+        parts.append(local.take(concat_ranges(begin[miss], lens[miss])))
     if len(parts) < 2:
         return (parts[0] if parts else _STORE_SCHEMA.empty_table()), lens
     # hits first, then batch-local rows: interleave back into row order
@@ -654,14 +687,29 @@ def _geocode_table(inputs: pa.Table, gazetteer, parser, cfg: PipelineConfig
     fields, non-null strings) → (``RESULT_SCHEMA`` table, input row of
     each output row).  Output rows are grouped by input row, in input
     order.  With the memo off every row is its own representative and
-    the store is never probed."""
-    if cfg.with_cascade_memo:
-        store = world_memo(gazetteer.memos, "store", cfg, _ResultStore)
-        res, lens = _memo_results(inputs, store, gazetteer, parser, cfg)
-    else:
+    the store is never probed.  With it on, every row is probed once;
+    a one-row input (a REST ``/geocode`` request) takes the scalar
+    route: its key is built in Python and a hit is served as the
+    store's slice with addr_key repeated over it, while a miss, like
+    any batch, goes on to ``_memo_results`` with its probe."""
+    n = inputs.num_rows
+    if not cfg.with_cascade_memo:
         res, lens = _run_cascade(_field_arrays(inputs), gazetteer, parser,
                                  cfg)
-    src = np.repeat(np.arange(inputs.num_rows), lens)
+    else:
+        store = world_memo(gazetteer.memos, "store", cfg, _ResultStore)
+        keys = ([_memo_key([inputs[f][0].as_py() for f in INPUT_FIELDS])]
+                if n == 1 else _memo_keys(inputs))
+        slot = np.array(store.index.get_many(keys, -1), np.int64)
+        if n == 1 and slot[0] >= 0:
+            rows = store.rows(int(slot[0]))
+            return (rows.add_column(0, RESULT_SCHEMA.field(ADDR_KEY),
+                                    pa.repeat(inputs[ADDR_KEY][0],
+                                              rows.num_rows)),
+                    np.zeros(rows.num_rows, np.int64))
+        res, lens = _memo_results(inputs, keys, slot, store, gazetteer,
+                                  parser, cfg)
+    src = np.repeat(np.arange(n), lens)
     return res.add_column(0, RESULT_SCHEMA.field(ADDR_KEY),
                           inputs[ADDR_KEY].take(src)), src
 
@@ -671,6 +719,8 @@ def _as_str(col) -> pa.ChunkedArray:
     .astype(str)`` contract of the reference's pandas frames, except that
     integers keep their digits (pandas would make a nullable int column
     float: ``4`` → ``"4.0"``, and round values past 2^53)."""
+    if col.type == pa.string() and not col.null_count:
+        return col
     if (pa.types.is_string(col.type) or pa.types.is_large_string(col.type)
             or pa.types.is_integer(col.type)):
         col = col.cast(pa.string())
@@ -683,7 +733,10 @@ def process_addresses_df(tbl: pa.Table, gazetteer, parser,
                          cfg: PipelineConfig) -> pa.Table:
     """Full cascade over one Arrow batch of addresses → fixed-schema rows,
     one per match/reject plus 'unmatched' stubs (utils.py:1195-1279),
-    grouped by input row in input order.
+    grouped by input row in input order.  The row count alone picks the
+    memo route (``_geocode_table``): one row (``api.geocode_one``) takes
+    the scalar route, more (``api.batch_geocode``, the Ray batch fns)
+    the batch route; both reach the same store by the same key.
 
     Columns other than addr_key and the five input fields pass through,
     each output row carrying the values of its OWN input row (positional
@@ -691,7 +744,7 @@ def process_addresses_df(tbl: pa.Table, gazetteer, parser,
     base_cols = [ADDR_KEY] + INPUT_FIELDS
     inputs = pa.table({c: _as_str(tbl[c]) for c in base_cols})
     res, src = _geocode_table(inputs, gazetteer, parser, cfg)
-    extra = [c for c in tbl.column_names if c not in base_cols]
+    extra = [c for c in tbl.schema.names if c not in base_cols]
     if extra:
         passthrough = tbl.select(extra).take(src)
         for f, col in zip(passthrough.schema, passthrough.columns):

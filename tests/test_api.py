@@ -89,6 +89,50 @@ def test_batch_geocode_end_to_end(street):
     assert keys == ["1", "2"]
 
 
+def test_falsy_payload_values_keep_their_text(street):
+    """0 is a value, not a missing one: the house number and the key
+    come back as "0" from both endpoints, which answer alike."""
+    p = _payload(street, 0)
+    p["house_number"] = 0
+    one = geocode_one(p, with_rejected=False)
+    batch = batch_geocode([p])
+    assert one == batch
+    m = one["match"][0]
+    assert m["input"]["referenceKey"] == "0"
+    assert m["input"]["houseNumber"] == "0"
+
+
+def test_a_single_without_a_key_is_minus_one(street):
+    p = _payload(street)
+    del p["addr_key"]
+    for data in (p, {**p, "addr_key": None}):
+        m = geocode_one(data)["match"][0]
+        assert m["input"]["referenceKey"] == "-1"
+
+
+def test_batch_geocode_rejects_a_none_key(street):
+    with pytest.raises(ValueError, match="mandatory"):
+        batch_geocode([_payload(street, None)])
+    with pytest.raises(ValueError, match="mandatory"):
+        batch_geocode([_payload(street, "1"), _payload(street, None)])
+
+
+def test_fast_path_sends_no_none_text(street, monkeypatch):
+    """A None field is empty in the fast path's query and echo."""
+    from georay.gazetteer import Gazetteer
+    queries = []
+    real = Gazetteer.search
+    monkeypatch.setattr(Gazetteer, "search", lambda self, q, *a, **kw:
+                        queries.append(q) or real(self, q, *a, **kw))
+    p = _payload(street)
+    p["country_name"] = None
+    res = geocode_one(p, fastmode=True, check_result=False)
+    assert queries and not any("None" in q for q in queries)
+    m = res["match"][0]
+    assert m["metadata"]["method"] == "fast"
+    assert m["input"]["countryName"] == ""
+
+
 def test_health_check():
     h = health_check(SPEC)
     assert h["status"] == "UP"
@@ -491,6 +535,21 @@ def test_format_results_matches_pandas_reference(cascade_rows, mode,
     one = cascade_rows.slice(0, 1)
     assert api._format_results(one, mode, with_rejected) == \
         _ref_format_results(one.to_pandas(), mode, with_rejected)
+
+
+@pytest.mark.parametrize("mode", api.MODES)
+@pytest.mark.parametrize("with_rejected", [True, False])
+def test_scalar_render_matches_the_arrow_render(cascade_rows, mode,
+                                                with_rejected):
+    """``geocode_one``'s scalar renderer and ``batch_geocode``'s Arrow
+    one give the same answer, edge values, leaf order and types
+    included."""
+    for rows in (cascade_rows, cascade_rows.slice(0, 7),
+                 cascade_rows.slice(0, 0)):
+        got = api._render_rows(rows, mode, with_rejected)
+        want = api._format_results(rows, mode, with_rejected)
+        assert got == want
+        assert repr(got) == repr(want)
 
 
 def test_memo_hits_build_no_dataframe(street, monkeypatch):
